@@ -217,14 +217,17 @@ def spectrum_monte_carlo(
     nchunks = (samples + chunk - 1) // chunk
     sizes = [chunk] * nchunks
     sizes[-1] = samples - chunk * (nchunks - 1)
-    powers = np.arange(K + 1)
 
     def do_chunk(ci):
         rng = stream(seed, ci)
         v = model.sample_log_batch(rng, sizes[ci])
         d2 = np.einsum("bi,bi->b", v, v)
-        pw = d2[:, None] ** powers[None, :]
-        return pw.sum(axis=0), np.einsum("bk,bk->k", pw, pw)
+        # powers d2^k by running products, one contiguous row per k
+        pw = np.empty((K + 1, sizes[ci]))
+        pw[0] = 1.0
+        for k in range(1, K + 1):
+            np.multiply(pw[k - 1], d2, out=pw[k])
+        return pw.sum(axis=1), np.einsum("kb,kb->k", pw, pw)
 
     tot = np.zeros(K + 1)
     tsq = np.zeros(K + 1)

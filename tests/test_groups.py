@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -12,6 +13,7 @@ from liesig.groups import (
     DomainError,
     ProductGroup,
     SU2Group,
+    _su2_radius_from_uniform,
     haar_sample,
     parse_group,
     stream,
@@ -206,6 +208,44 @@ def test_sampler_matches_quadrature_cdf(spec, density):
     emp = np.searchsorted(r, grid, side="right") / n
     ks = np.abs(emp - cdf).max()
     assert ks < 0.002
+
+
+def _su2_cdf_mp(r):
+    return (r - mpmath.sin(r) * mpmath.cos(r)) / mpmath.pi
+
+
+def test_su2_radius_matches_mpmath_root():
+    # the CDF is increasing on [0, pi], so evaluating it at r -+ tol (in
+    # mpmath, where nothing cancels) brackets u exactly when the true root
+    # lies within tol of r
+    rng = np.random.default_rng(5)
+    tails = [0.0, 1e-300, 1e-20, 1e-12, 0.5, 1 - 1e-4, 1 - 2.0**-53, 1.0]
+    u = np.concatenate(
+        [
+            tails,
+            rng.random(2000),
+            10.0 ** rng.uniform(-300, -1, 500),
+            1.0 - 10.0 ** rng.uniform(-16, -1, 500),
+        ]
+    )
+    r = _su2_radius_from_uniform(u)
+    tol = mpmath.mpf("1e-15")
+    with mpmath.workdps(80):
+        for ui, ri in zip(u, r):
+            lo = max(mpmath.mpf(ri) - tol, mpmath.mpf(0))
+            hi = min(mpmath.mpf(ri) + tol, +mpmath.pi)
+            assert _su2_cdf_mp(lo) <= ui <= _su2_cdf_mp(hi), (ui, ri)
+
+
+def test_su2_radius_batch_invariant():
+    block = 1 << 16
+    u = stream(3).random(3 * block + 11)
+    full = _su2_radius_from_uniform(u)
+    for i, j in [(block - 3, block + 3), (5, block + 7), (2 * block - 1, 3 * block + 2), (0, len(u))]:
+        assert full[i:j].tobytes() == _su2_radius_from_uniform(u[i:j]).tobytes()
+    # the strided column that distance_from_uniforms passes
+    cols = np.stack([u, u], axis=1)
+    assert SU2Group().distance_from_uniforms(cols).tobytes() == full.tobytes()
 
 
 # -- pullback densities -----------------------------------------------------------
