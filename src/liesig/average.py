@@ -21,13 +21,12 @@ Carlo error is purely statistical.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .groups import CircleGroup, ProductGroup, SU2Group, stream
+from .groups import CircleGroup, ProductGroup, SU2Group, map_chunks, mean_stderr, stream
 from .tensor import TruncatedTensorSeries, _check_budget, shuffle_levels
 
 __all__ = [
@@ -38,6 +37,7 @@ __all__ = [
     "product_average_shuffle",
     "sphere_moment_level",
     "su2_radial_moments",
+    "radial_moments",
     "mc_chunk_size",
 ]
 
@@ -95,6 +95,30 @@ def su2_radial_moments(max_k: int, nodes: int = 64) -> np.ndarray:
     return powers @ (w * dens)
 
 
+def radial_moments(model, K: int, nodes: int = 64) -> np.ndarray:
+    """E[d^{2k}], k = 0..K, of the Haar distance d = d(e, g), by quadrature.
+
+    Circle by Gauss-Legendre on [-pi, pi], SU(2) from ``su2_radial_moments``;
+    squared distances add over product factors, so products convolve:
+    E[(a + b)^N] = sum_k C(N, k) E[a^k] E[b^(N-k)].
+    """
+    if isinstance(model, CircleGroup):
+        x, w = leggauss(nodes)
+        theta = math.pi * x
+        return (theta[None, :] ** (2 * np.arange(K + 1)[:, None])) @ (w / 2.0)
+    if isinstance(model, SU2Group):
+        return su2_radial_moments(2 * K, nodes)[::2]
+    if isinstance(model, ProductGroup):
+        parts = [radial_moments(f, K, nodes) for f in model.factors]
+        acc = parts[0]
+        for nxt in parts[1:]:
+            acc = np.array(
+                [sum(math.comb(N, k) * acc[k] * nxt[N - k] for k in range(N + 1)) for N in range(K + 1)]
+            )
+        return acc
+    raise ValueError("radial moments cover circle, su2, and their products")
+
+
 _DOUBLE_FACT = {0: 1.0}
 
 
@@ -145,32 +169,26 @@ def sphere_moment_level(k: int) -> np.ndarray:
 
 
 def average_quadrature(model, N: int, nodes: int = 64) -> AverageSignatureResult:
-    """Deterministic average signature for the circle or SU(2)."""
+    """Deterministic average signature for the circle or SU(2).
+
+    Even level k is (m_k / k!) times the direction's moment tensor; odd
+    levels vanish analytically (sign-flip symmetry) and are pinned to zero.
+    """
     if isinstance(model, CircleGroup):
-        x, w = leggauss(nodes)
-        theta = math.pi * x
-        w = math.pi * w / (2.0 * math.pi)
-        levels = [np.ones(1)]
-        for k in range(1, N + 1):
-            # odd levels vanish analytically (sign-flip symmetry); pin the zero
-            val = 0.0 if k % 2 == 1 else float(w @ theta**k) / math.factorial(k)
-            levels.append(np.array([val]))
-        return AverageSignatureResult(
-            TruncatedTensorSeries(1, N, tuple(levels)), "quadrature"
-        )
-    if isinstance(model, SU2Group):
-        _check_budget(3, N)
-        m = su2_radial_moments(N, nodes)
-        levels = [np.ones(1)]
-        for k in range(1, N + 1):
-            if k % 2 == 1:
-                levels.append(np.zeros(3**k))
-            else:
-                levels.append((m[k] / math.factorial(k)) * sphere_moment_level(k))
-        return AverageSignatureResult(
-            TruncatedTensorSeries(3, N, tuple(levels)), "quadrature"
-        )
-    raise ValueError("quadrature is available for circle and su2 models only")
+        n, direction = 1, lambda k: np.ones(1)
+    elif isinstance(model, SU2Group):
+        n, direction = 3, sphere_moment_level
+    else:
+        raise ValueError("quadrature is available for circle and su2 models only")
+    _check_budget(n, N)
+    m = radial_moments(model, N // 2, nodes)
+    levels = [np.ones(1)]
+    for k in range(1, N + 1):
+        if k % 2 == 1:
+            levels.append(np.zeros(n**k))
+        else:
+            levels.append((m[k // 2] / math.factorial(k)) * direction(k))
+    return AverageSignatureResult(TruncatedTensorSeries(n, N, tuple(levels)), "quadrature")
 
 
 def mc_chunk_size(dim: int, depth: int) -> int:
@@ -184,72 +202,42 @@ def mc_chunk_size(dim: int, depth: int) -> int:
     return max(256, min(1 << 16, (1 << 22) // max(total, 1)))
 
 
-def _mc_chunk(model, N: int, seed: int, chunk_index: int, size: int):
-    rng = stream(seed, chunk_index)
-    v = model.sample_log_batch(rng, size)
-    sums = [np.full(1, float(size))]
-    sqs = [np.full(1, float(size))]
-    cur = np.ones((size, 1))
-    for k in range(1, N + 1):
-        cur = (cur[:, :, None] * v[:, None, :]).reshape(size, -1) / k
-        sums.append(cur.sum(axis=0))
-        sqs.append(np.einsum("bi,bi->i", cur, cur))
-    return sums, sqs
-
-
 def average_monte_carlo(
     model, N: int, samples: int, seed: int, threads: int = 1
 ) -> AverageSignatureResult:
     """Mean of exact geodesic signatures over chunked Haar draws.
 
     The result is bitwise identical for any thread count: chunk c always uses
-    stream(seed, c) and partial sums are reduced in chunk order.
+    stream(seed, c) and ``map_chunks`` hands partial sums over in chunk order.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     n = model.dim
     _check_budget(n, N)
-    chunk = mc_chunk_size(n, N)
-    nchunks = (samples + chunk - 1) // chunk
-    sizes = [chunk] * nchunks
-    sizes[-1] = samples - chunk * (nchunks - 1)
+
+    def chunk_sums(c, _start, size):
+        v = model.sample_log_batch(stream(seed, c), size)
+        sums = [np.full(1, float(size))]
+        sqs = [np.full(1, float(size))]
+        cur = np.ones((size, 1))
+        for k in range(1, N + 1):
+            cur = (cur[:, :, None] * v[:, None, :]).reshape(size, -1) / k
+            sums.append(cur.sum(axis=0))
+            sqs.append(np.einsum("bi,bi->i", cur, cur))
+        return sums, sqs
 
     tot = [np.zeros(n**k) for k in range(N + 1)]
     tsq = [np.zeros(n**k) for k in range(N + 1)]
-
-    def merge(res):
+    for sums, sqs in map_chunks(chunk_sums, samples, mc_chunk_size(n, N), threads):
         for k in range(N + 1):
-            tot[k] += res[0][k]
-            tsq[k] += res[1][k]
-
-    if threads <= 1:
-        for ci in range(nchunks):
-            merge(_mc_chunk(model, N, seed, ci, sizes[ci]))
-    else:
-        wave = 4 * threads
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for start in range(0, nchunks, wave):
-                cis = range(start, min(start + wave, nchunks))
-                futs = [pool.submit(_mc_chunk, model, N, seed, ci, sizes[ci]) for ci in cis]
-                for f in futs:  # reduce in chunk order
-                    merge(f.result())
-
-    m = float(samples)
-    mean_levels = tuple(t / m for t in tot)
-    se_levels = []
-    se_scalar = np.empty(N + 1)
-    for k in range(N + 1):
-        var = np.maximum(tsq[k] / m - mean_levels[k] ** 2, 0.0) * (m / max(m - 1.0, 1.0))
-        se = np.sqrt(var / m)
-        se_levels.append(se)
-        se_scalar[k] = math.sqrt(float(se @ se))
+            tot[k] += sums[k]
+            tsq[k] += sqs[k]
+    mean, se = zip(*(mean_stderr(t, q, samples) for t, q in zip(tot, tsq)))
     return AverageSignatureResult(
-        TruncatedTensorSeries(n, N, mean_levels),
+        TruncatedTensorSeries(n, N, mean),
         "monte_carlo",
         samples=samples,
         seed=seed,
-        stderr_per_level=se_scalar,
-        stderr_coeffs=tuple(se_levels),
+        stderr_per_level=np.array([math.sqrt(float(s @ s)) for s in se]),
+        stderr_coeffs=se,
     )
 
 

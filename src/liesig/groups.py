@@ -19,13 +19,16 @@ curvature 6).
 
 Reproducibility contract: every sampler draws from a numpy PCG64 generator.
 Monte Carlo runs partition work into fixed-size chunks and chunk c of a run
-seeded with s uses the stream ``stream(s, c)`` = PCG64(SeedSequence((s, c))),
-so the multiset of samples is independent of the worker count.
+seeded with s uses the stream ``stream(s, c)`` = PCG64(SeedSequence((s, c))).
+All Monte Carlo, the radial CDF included, runs through ``map_chunks`` and
+reduces in chunk order, so no output depends on the worker count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -34,6 +37,8 @@ __all__ = [
     "DomainError",
     "CUT_TOLERANCE",
     "stream",
+    "map_chunks",
+    "mean_stderr",
     "CircleGroup",
     "SU2Group",
     "ProductGroup",
@@ -62,6 +67,40 @@ def stream(seed: int, chunk: int | None = None) -> np.random.Generator:
     """
     entropy = (int(seed),) if chunk is None else (int(seed), int(chunk))
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+
+
+def map_chunks(fn, samples: int, chunk: int, threads: int = 1):
+    """Yield ``fn(c, start, size)`` for the chunks of ``samples`` draws, in order.
+
+    Chunk c starts at draw c * chunk; only the last may be short.  Workers
+    are capped at min(threads, os.cpu_count(), chunks): one worker runs the
+    chunks inline, more run them on a thread pool.  Every chunk is submitted
+    at once, so ``fn`` should return partial sums or write its own slice.
+    """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    if chunk < 1:
+        raise ValueError("chunk must be >= 1")
+    nchunks = (samples + chunk - 1) // chunk
+
+    def run(c):
+        start = c * chunk
+        return fn(c, start, min(chunk, samples - start))
+
+    workers = min(threads, os.cpu_count() or 1, nchunks)
+    if workers <= 1:
+        yield from map(run, range(nchunks))
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(run, range(nchunks))
+
+
+def mean_stderr(tot, tsq, samples: int):
+    """Mean and standard error of the mean from sums and sums of squares."""
+    m = float(samples)
+    mean = tot / m
+    var = np.maximum(tsq / m - mean**2, 0.0) * (m / max(m - 1.0, 1.0))
+    return mean, np.sqrt(var / m)
 
 
 def _wrap_angle(theta: float) -> float:
@@ -129,9 +168,6 @@ class CircleGroup:
 
     def point_coords(self, g) -> list[float]:
         return [float(g)]
-
-    def point_from_coords(self, coords) -> float:
-        return _wrap_angle(float(coords[0]))
 
     def descriptor(self) -> dict:
         return {"kind": "circle", "dim": 1}
@@ -301,12 +337,6 @@ class SU2Group:
     def point_coords(self, g) -> list[float]:
         return [float(c) for c in g]
 
-    def point_from_coords(self, coords) -> np.ndarray:
-        q = np.asarray(coords, dtype=np.float64)
-        if q.shape != (4,):
-            raise ValueError("expected four quaternion components")
-        return q / np.linalg.norm(q)
-
     def descriptor(self) -> dict:
         return {"kind": "su2", "dim": 3}
 
@@ -386,16 +416,6 @@ class ProductGroup:
         for f, gi in zip(self.factors, g):
             out.extend(f.point_coords(gi))
         return out
-
-    def point_from_coords(self, coords):
-        coords = list(coords)
-        out = []
-        off = 0
-        for f in self.factors:
-            width = 4 if f.kind == "su2" else 1
-            out.append(f.point_from_coords(coords[off : off + width]))
-            off += width
-        return tuple(out)
 
     def descriptor(self) -> dict:
         return {

@@ -20,12 +20,12 @@ for the small-ball asymptotics, sampled distances) and produces:
     fit on an epsilon grid against an empirical radial CDF.
 
 The empirical CDF supports plain seeded Monte Carlo ("iid", binomial
-errors) and a chunked scrambled-Sobol scheme ("qmc").  The qmc scheme
-stratifies each chunk of 2^21 draws, shrinking CDF error from N^(-1/2)
-towards N^(-1); the curvature fit needs that: at 10^7 iid samples the
-binomial Fisher bound on the fitted S is several times looser than the
-accuracy the qmc route delivers.  Reported standard errors stay binomial,
-which is conservative for qmc.
+errors) and a chunked scrambled-Sobol scheme ("qmc"), both chunked and
+threaded by ``groups.map_chunks``.  The qmc scheme stratifies each chunk of
+2^21 draws, shrinking CDF error from N^(-1/2) towards N^(-1); the curvature
+fit needs that: at 10^7 iid samples the binomial Fisher bound on the fitted
+S is several times looser than the accuracy the qmc route delivers.
+Reported standard errors stay binomial, which is conservative for qmc.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import mpmath as mp
 from scipy.special import gammaln
 from scipy.stats import qmc
 
-from .groups import stream
+from .groups import map_chunks, stream
 from .spectra import TraceSpectrum
 
 __all__ = [
@@ -231,36 +231,29 @@ def ball_volume_from_moments(
 # -- empirical ball volumes --------------------------------------------------
 
 
-def _radii_iid(model, samples: int, seed: int) -> np.ndarray:
-    out = np.empty(samples)
-    done, ci = 0, 0
-    while done < samples:
-        b = min(IID_CHUNK, samples - done)
-        v = model.sample_log_batch(stream(seed, ci), b)
-        out[done : done + b] = np.sqrt(np.einsum("bi,bi->b", v, v))
-        done += b
-        ci += 1
-    return out
+def _radii(model, samples: int, seed: int, scheme: str, threads: int) -> np.ndarray:
+    """Distances d(e, g) of ``samples`` Haar draws.
 
-
-def _radii_qmc(model, samples: int, seed: int) -> np.ndarray:
-    """Distances of Haar draws from chunked scrambled Sobol points.
-
-    Chunk c scrambles with a seed derived from SeedSequence((seed, c)), so
-    the stream layout is fixed by (samples, seed) alone.
+    iid chunk c draws from stream(seed, c); qmc chunk c maps Sobol points
+    scrambled with a seed from SeedSequence((seed, c)).  Each chunk writes
+    its own slice, so the radii do not depend on ``threads``.
     """
-    d = model.radial_uniform_dim
     out = np.empty(samples)
-    done, ci = 0, 0
+
+    def iid(c, start, size):
+        v = model.sample_log_batch(stream(seed, c), size)
+        out[start : start + size] = np.sqrt(np.einsum("bi,bi->b", v, v))
+
+    def sobol(c, start, size):
+        sob_seed = int(np.random.SeedSequence((seed, c)).generate_state(1)[0])
+        u = qmc.Sobol(model.radial_uniform_dim, scramble=True, seed=sob_seed).random(size)
+        out[start : start + size] = model.distance_from_uniforms(u)
+
+    fn, chunk = (iid, IID_CHUNK) if scheme == "iid" else (sobol, QMC_CHUNK)
+    # the filters are process-wide, so they also cover the pool's workers
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message=".*balance properties of Sobol.*")
-        while done < samples:
-            b = min(QMC_CHUNK, samples - done)
-            sob_seed = int(np.random.SeedSequence((seed, ci)).generate_state(1)[0])
-            u = qmc.Sobol(d, scramble=True, seed=sob_seed).random(b)
-            out[done : done + b] = model.distance_from_uniforms(u)
-            done += b
-            ci += 1
+        list(map_chunks(fn, samples, chunk, threads))
     return out
 
 
@@ -268,13 +261,14 @@ class RadialCdfEstimator:
     """Empirical CDF of d(e, g) from one seeded sample stream.
 
     Calling it at radius R returns (fraction of distances <= R, binomial
-    standard error).
+    standard error).  ``threads`` changes only how fast the distances are
+    drawn, never their values.
     """
 
-    def __init__(self, model, samples: int, seed: int, scheme: str = "qmc"):
+    def __init__(self, model, samples: int, seed: int, scheme: str = "qmc", threads: int = 1):
         if scheme not in ("iid", "qmc"):
             raise ValueError("scheme must be 'iid' or 'qmc'")
-        radii = _radii_iid(model, samples, seed) if scheme == "iid" else _radii_qmc(model, samples, seed)
+        radii = _radii(model, samples, seed, scheme, threads)
         radii.sort()
         self.model = model
         self.samples = samples
@@ -423,7 +417,7 @@ def recover(
         model, K, samples, seed, threads=threads
     )
     diam = diameter_estimate(spec)
-    radial = RadialCdfEstimator(model, samples, seed, scheme=scheme)
+    radial = RadialCdfEstimator(model, samples, seed, scheme=scheme, threads=threads)
     fit = small_ball_recovery(radial, eps_grid)
     # reports promise a tighter slope-to-integer gap than the fit's own
     # 0.35 rounding threshold

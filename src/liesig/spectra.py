@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import mpmath as mp
 
-from .average import AverageSignatureResult
-from .groups import CircleGroup, ProductGroup, SU2Group, stream
+from .average import AverageSignatureResult, radial_moments
+from .groups import CircleGroup, ProductGroup, SU2Group, map_chunks, mean_stderr, stream
 from .tensor import trace_level
 
 __all__ = [
@@ -156,37 +156,11 @@ def spectrum_closed_form(model, K: int) -> TraceSpectrum:
 def spectrum_quadrature(model, K: int, nodes: int = 64) -> TraceSpectrum:
     """Deterministic spectrum for circle, SU(2), and their products.
 
-    float64 values come from Gauss-Legendre radial moments (convolved across
-    product factors); the attached mp values come from the exact closed
-    forms / radial recursion.
+    float64 values are the Gauss-Legendre radial moments of
+    ``average.radial_moments``; the attached mp values come from the exact
+    closed forms / radial recursion.
     """
-
-    def float_vals(m) -> np.ndarray:
-        if isinstance(m, CircleGroup):
-            from numpy.polynomial.legendre import leggauss
-
-            x, w = leggauss(nodes)
-            theta = math.pi * x
-            w = w / 2.0  # (1/2pi) dtheta over [-pi, pi]
-            return (theta[None, :] ** (2 * np.arange(K + 1)[:, None])) @ w
-        if isinstance(m, SU2Group):
-            from .average import su2_radial_moments
-
-            return su2_radial_moments(2 * K, nodes)[:: 2]
-        if isinstance(m, ProductGroup):
-            parts = [float_vals(f) for f in m.factors]
-            acc = parts[0]
-            for nxt in parts[1:]:
-                conv = np.empty(K + 1)
-                for N in range(K + 1):
-                    conv[N] = sum(
-                        math.comb(N, k) * acc[k] * nxt[N - k] for k in range(N + 1)
-                    )
-                acc = conv
-            return acc
-        raise ValueError("quadrature spectrum covers circle, su2, and their products")
-
-    vals = float_vals(model)
+    vals = radial_moments(model, K, nodes)
     vals[0] = 1.0
     return TraceSpectrum(
         vals,
@@ -202,7 +176,7 @@ def spectrum_monte_carlo(
     samples: int,
     seed: int,
     threads: int = 1,
-    chunk: int | None = None,
+    chunk: int = 1 << 16,
 ) -> TraceSpectrum:
     """Spectrum as empirical moments of d(e, g)^2 over chunked Haar draws.
 
@@ -210,20 +184,12 @@ def spectrum_monte_carlo(
     ``chunk=mc_chunk_size(dim, 2K)`` to replay the identical sample stream
     that ``average_monte_carlo`` at depth 2K consumes.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if chunk is None:
-        chunk = 1 << 16
-    nchunks = (samples + chunk - 1) // chunk
-    sizes = [chunk] * nchunks
-    sizes[-1] = samples - chunk * (nchunks - 1)
 
-    def do_chunk(ci):
-        rng = stream(seed, ci)
-        v = model.sample_log_batch(rng, sizes[ci])
+    def chunk_sums(c, _start, size):
+        v = model.sample_log_batch(stream(seed, c), size)
         d2 = np.einsum("bi,bi->b", v, v)
         # powers d2^k by running products, one contiguous row per k
-        pw = np.empty((K + 1, sizes[ci]))
+        pw = np.empty((K + 1, size))
         pw[0] = 1.0
         for k in range(1, K + 1):
             np.multiply(pw[k - 1], d2, out=pw[k])
@@ -231,27 +197,9 @@ def spectrum_monte_carlo(
 
     tot = np.zeros(K + 1)
     tsq = np.zeros(K + 1)
-    if threads <= 1:
-        for ci in range(nchunks):
-            s, q = do_chunk(ci)
-            tot += s
-            tsq += q
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        wave = 4 * threads
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for start in range(0, nchunks, wave):
-                cis = range(start, min(start + wave, nchunks))
-                futs = [pool.submit(do_chunk, ci) for ci in cis]
-                for f in futs:
-                    s, q = f.result()
-                    tot += s
-                    tsq += q
-
-    m = float(samples)
-    vals = tot / m
-    var = np.maximum(tsq / m - vals**2, 0.0) * (m / max(m - 1.0, 1.0))
-    se = np.sqrt(var / m)
+    for s, q in map_chunks(chunk_sums, samples, chunk, threads):
+        tot += s
+        tsq += q
+    vals, se = mean_stderr(tot, tsq, samples)
     prov = {"method": "monte_carlo", "samples": samples, "seed": seed}
     return TraceSpectrum(vals, K, prov, stderr=se)

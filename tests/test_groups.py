@@ -1,4 +1,7 @@
 import math
+import os
+import threading
+import time
 
 import mpmath
 import numpy as np
@@ -15,6 +18,7 @@ from liesig.groups import (
     SU2Group,
     _su2_radius_from_uniform,
     haar_sample,
+    map_chunks,
     parse_group,
     stream,
 )
@@ -307,12 +311,19 @@ def test_descriptors():
     assert d["kind"] == "product" and d["dim"] == 2 and len(d["factors"]) == 2
 
 
-def test_point_coords_round_trip():
-    for spec in ("circle", "su2", "product:circle,su2"):
-        model = parse_group(spec)
-        g = haar_sample(model, stream(3))
-        back = model.point_from_coords(model.point_coords(g))
-        assert model.distance(model.multiply(model.inverse(g), back)) < 1e-12
+def test_map_chunks_order_and_worker_cap():
+    # three chunks can start at most three threads, so a broken cap shows
+    # on any machine with fewer than three CPUs
+    workers = set()
+
+    def fn(c, start, size):
+        workers.add(threading.get_ident())
+        time.sleep(0.05)
+        return c, start, size
+
+    got = list(map_chunks(fn, 25, 10, threads=64))
+    assert got == [(0, 0, 10), (1, 10, 10), (2, 20, 5)]
+    assert len(workers) <= min(os.cpu_count(), 3)
 
 
 def test_cut_tolerance_constant():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from liesig import recovery
 from liesig.groups import CircleGroup, SU2Group, parse_group
 from liesig.recovery import (
     AmbiguousDimension,
@@ -173,6 +174,17 @@ def test_radial_cdf_estimator_monotone_and_deterministic():
     assert all(b >= a for a, b in zip(v1, v1[1:]))
     with pytest.raises(ValueError):
         RadialCdfEstimator(SU2Group(), 100, seed=0, scheme="bogus")
+
+
+@pytest.mark.parametrize("scheme", ["iid", "qmc"])
+def test_radial_cdf_threads_bitwise(monkeypatch, scheme):
+    # small chunks so a modest run spans several of them
+    monkeypatch.setattr(recovery, "QMC_CHUNK", 1 << 12)
+    monkeypatch.setattr(recovery, "IID_CHUNK", 1 << 10)
+    model = parse_group("product:su2,circle")
+    one = RadialCdfEstimator(model, 10_001, seed=7, scheme=scheme, threads=1)
+    two = RadialCdfEstimator(model, 10_001, seed=7, scheme=scheme, threads=2)
+    assert np.array_equal(one._radii, two._radii)
 
 
 def test_qmc_beats_iid_on_circle_cdf():

@@ -131,6 +131,12 @@ def test_mc_spectrum_threads_bitwise():
     assert np.array_equal(a.stderr, b.stderr)
 
 
+@pytest.mark.parametrize("samples, chunk", [(100, 0), (100, -1), (0, 1 << 16)])
+def test_mc_spectrum_rejects_bad_chunk(samples, chunk):
+    with pytest.raises(ValueError):
+        spectrum_monte_carlo(CircleGroup(), 2, samples, seed=0, chunk=chunk)
+
+
 def test_log_convexity_exact_spectra():
     # moments of a nonnegative variable: r_{2k}^2 <= r_{2k-2} r_{2k+2}
     for spec in (
