@@ -86,13 +86,17 @@ def average_closed_form(model, N: int) -> AverageSignatureResult:
 
 
 def su2_radial_moments(max_k: int, nodes: int = 64) -> np.ndarray:
-    """Moments m_k = int_0^pi r^k (2/pi) sin^2 r dr, k=0..max_k, by Gauss-Legendre."""
+    """Moments m_k = int_0^pi r^k (2/pi) sin^2 r dr, k=0..max_k, by Gauss-Legendre.
+
+    Each row is summed on its own, so m_k depends only on k and ``nodes``,
+    never on ``max_k``.
+    """
     x, w = leggauss(nodes)
     r = 0.5 * math.pi * (x + 1.0)
     w = 0.5 * math.pi * w
     dens = (2.0 / math.pi) * np.sin(r) ** 2
     powers = r[None, :] ** np.arange(max_k + 1)[:, None]
-    return powers @ (w * dens)
+    return (powers * (w * dens)).sum(axis=1)
 
 
 def radial_moments(model, K: int, nodes: int = 64) -> np.ndarray:

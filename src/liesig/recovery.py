@@ -14,7 +14,12 @@ for the small-ball asymptotics, sampled distances) and produces:
     mpmath with precision scaled to the degree, because monomial
     re-expansion amplifies relative moment error by ~10^(0.77 degree);
     spectra carrying mp_values (the deterministic constructors) are exact
-    inputs, float64 spectra are only usable at small degree,
+    inputs, float64 spectra are only usable at small degree: a pairing
+    whose amplification times the moments' storage rounding (2^-52 for
+    float64) exceeds PAIRING_TOL raises FitFailure instead of returning a
+    clamped guess.  The Chebyshev nodes, the cosine table and the integer
+    coefficient rows of T_m(2u - 1) are cached per (degree, mp precision),
+    so repeated pairings only pay for the erfc values and the sums,
   * dimension, volume, and scalar curvature from the small-ball expansion
     F(eps) = (w_n / V) eps^n (1 - S eps^2 / (6(n+2)) + O(eps^3)),
     fit on an epsilon grid against an empirical radial CDF.
@@ -30,6 +35,7 @@ Reported standard errors stay binomial, which is conservative for qmc.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -61,6 +67,8 @@ __all__ = [
 
 QMC_CHUNK = 1 << 21
 IID_CHUNK = 1 << 16
+# largest error bound a moment pairing may carry (criterion 7's tolerance)
+PAIRING_TOL = 0.02
 
 DEFAULT_EPS_GRID = tuple(np.geomspace(0.05, 0.3, 8))
 
@@ -138,6 +146,40 @@ def unit_ball_volume(n: int) -> float:
 # -- polynomial moment inversion -------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _chebyshev_tables(degree: int, prec: int):
+    """Nodes, cosine rows and monomial rows of the degree-``degree`` projection.
+
+    With M = 2 degree + 33 nodes at angles pi (2j+1) / (2M), every
+    cos(m angle_j) is cos(pi k / (2M)) for k = m (2j+1) mod 4M: one table of
+    4M entries from M + 1 ``mp.cos`` calls and the symmetries of cos.  The
+    nodes are (1 + table[2j+1]) / 2.  ``int_rows[m]`` holds the exact integer
+    coefficients of T_m(2u - 1) in powers of u.  ``prec`` is the mp working
+    precision the table was built at and only keys the cache.
+    """
+    M = 2 * degree + 33
+    quarter = [mp.cos(mp.pi * k / (2 * M)) for k in range(M)] + [mp.mpf(0)]
+    half = quarter + [-quarter[k] for k in range(M - 1, -1, -1)]  # k = 0..2M
+    table = half + half[2 * M - 1 : 0 : -1]  # k = 0..4M-1
+    nodes = [(1 + table[2 * j + 1]) / 2 for j in range(M)]
+    cos_rows = [[table[m * (2 * j + 1) % (4 * M)] for j in range(M)] for m in range(degree + 1)]
+    int_rows = [[1], [-1, 2]]
+    for _ in range(2, degree + 1):
+        prev, cur = int_rows[-2], int_rows[-1]
+        nxt = [0] + [4 * cj for cj in cur]
+        for j, cj in enumerate(cur):
+            nxt[j] -= 2 * cj
+        for j, cj in enumerate(prev):
+            nxt[j] -= cj
+        int_rows.append(nxt)
+    return nodes, cos_rows, int_rows
+
+
+def _erfc(x):
+    # mpmath sums a slow erf series for every negative argument
+    return 2 - mp.erfc(-x) if x < 0 else mp.erfc(x)
+
+
 def _mollified_indicator_monomials(c, sigma, degree):
     """Monomial coefficients (in u on [0,1]) of the Chebyshev projection of a
     reflected erf step: erfc((u-c)/..)/2 - erfc((u+c)/..)/2.
@@ -146,36 +188,16 @@ def _mollified_indicator_monomials(c, sigma, degree):
     step would place on the point mass-free region u < 0, so F(0) comes out
     ~0 instead of ~sqrt(sigma).  Runs under the caller's mp context.
     """
+    nodes, cos_rows, int_rows = _chebyshev_tables(degree, mp.mp.prec)
+    M = len(nodes)
     rt2s = mp.sqrt(2) * sigma
-
-    def f(u):
-        return (mp.erfc((u - c) / rt2s) - mp.erfc((u + c) / rt2s)) / 2
-
-    M = 2 * degree + 33
-    ang = [mp.pi * (j + mp.mpf(1) / 2) / M for j in range(M)]
-    fv = [f((mp.cos(t) + 1) / 2) for t in ang]
-    b = []
-    for m_idx in range(degree + 1):
-        s = mp.fsum(fv[j] * mp.cos(m_idx * ang[j]) for j in range(M))
-        b.append(s * 2 / M if m_idx else s / M)
-    # expand sum b_m T_m(2u - 1) in powers of u
+    fv = [(_erfc((u - c) / rt2s) - _erfc((u + c) / rt2s)) / 2 for u in nodes]
+    b = [mp.fdot(fv, row) * (2 if m else 1) / M for m, row in enumerate(cos_rows)]
+    # sum_m b_m T_m(2u - 1) in powers of u
     a = [mp.mpf(0)] * (degree + 1)
-    t_prev = [mp.mpf(1)]
-    a[0] += b[0]
-    if degree >= 1:
-        t_cur = [mp.mpf(-1), mp.mpf(2)]
-        a[0] += b[1] * t_cur[0]
-        a[1] += b[1] * t_cur[1]
-        for m_idx in range(2, degree + 1):
-            t_next = [mp.mpf(0)] * (m_idx + 1)
-            for j, cj in enumerate(t_cur):
-                t_next[j + 1] += 4 * cj
-                t_next[j] -= 2 * cj
-            for j, cj in enumerate(t_prev):
-                t_next[j] -= cj
-            for j, cj in enumerate(t_next):
-                a[j] += b[m_idx] * cj
-            t_prev, t_cur = t_cur, t_next
+    for bm, row in zip(b, int_rows):
+        for j, cj in enumerate(row):
+            a[j] += bm * cj
     return a
 
 
@@ -194,6 +216,11 @@ def ball_volume_from_moments(
     domain is B = (1.05 dmax)^2 -- the 5% head-room keeps the measure's
     support strictly inside the approximation interval, where the projection
     error is controlled.  Clamped to [0, 1].
+
+    Each moment carries at least its storage rounding (10^-dps relative for
+    exact mp_values, 2^-52 for float64), so the error bound is amplification
+    times that rounding; ``FitFailure`` is raised when it exceeds
+    ``PAIRING_TOL``.  ``full_output`` adds the bound to the info dict.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
@@ -215,7 +242,14 @@ def ball_volume_from_moments(
         a = _mollified_indicator_monomials(c, sigma, degree)
         F = mp.fsum(a[j] * mom[j] for j in range(degree + 1))
         amplification = mp.fsum(abs(a[j]) * mom[j] for j in range(degree + 1))
+        rounding = mp.mpf(10) ** -dps if spec.mp_values is not None else mp.mpf(2) ** -52
+        error_bound = float(amplification * rounding)
         out = min(1.0, max(0.0, float(F)))
+    if error_bound > PAIRING_TOL:
+        raise FitFailure(
+            f"degree {degree} pairing amplifies moment rounding by {float(amplification):.3g}: "
+            f"error bound {error_bound:.3g} exceeds {PAIRING_TOL}"
+        )
     if full_output:
         info = {
             "domain": float(B),
@@ -223,6 +257,7 @@ def ball_volume_from_moments(
             "amplification": float(amplification),
             "exact_moments": spec.mp_values is not None,
             "dps": dps,
+            "error_bound": error_bound,
         }
         return out, info
     return out

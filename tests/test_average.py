@@ -78,6 +78,12 @@ def test_su2_radial_moments_against_adaptive():
         assert abs(m[k] - oracle) < 1e-12
 
 
+@pytest.mark.parametrize("nodes", [24, 64])
+def test_su2_radial_moments_independent_of_max_k(nodes):
+    # m_k is a function of k and nodes alone, bit for bit
+    assert np.array_equal(su2_radial_moments(5, nodes), su2_radial_moments(12, nodes)[:6])
+
+
 def test_sphere_moment_level_against_mc():
     # second and fourth moments of the uniform direction on S^2
     m2 = sphere_moment_level(2).reshape(3, 3)

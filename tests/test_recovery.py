@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -17,7 +18,7 @@ from liesig.recovery import (
     small_ball_recovery,
     unit_ball_volume,
 )
-from liesig.spectra import spectrum_closed_form, spectrum_quadrature
+from liesig.spectra import TraceSpectrum, spectrum_closed_form, spectrum_monte_carlo, spectrum_quadrature
 
 PI = math.pi
 
@@ -135,6 +136,84 @@ def test_moment_cdf_monotone_and_clamped():
     vals = [ball_volume_from_moments(spec, r, 30, dmax=dmax) for r in np.linspace(0, dmax, 12)]
     assert all(0.0 <= v <= 1.0 for v in vals)
     assert all(b - a >= -5e-3 for a, b in zip(vals, vals[1:]))
+
+
+def reference_monomials(c, sigma, degree):
+    # the direct formulation: one mp.cos per (m, node) and an mpf recurrence
+    # re-expanding sum b_m T_m(2u - 1) in powers of u
+    rt2s = mp.sqrt(2) * sigma
+
+    def f(u):
+        return (mp.erfc((u - c) / rt2s) - mp.erfc((u + c) / rt2s)) / 2
+
+    M = 2 * degree + 33
+    ang = [mp.pi * (j + mp.mpf(1) / 2) / M for j in range(M)]
+    fv = [f((mp.cos(t) + 1) / 2) for t in ang]
+    b = []
+    for m_idx in range(degree + 1):
+        s = mp.fsum(fv[j] * mp.cos(m_idx * ang[j]) for j in range(M))
+        b.append(s * 2 / M if m_idx else s / M)
+    a = [mp.mpf(0)] * (degree + 1)
+    t_prev, t_cur = [mp.mpf(1)], [mp.mpf(-1), mp.mpf(2)]
+    a[0] += b[0]
+    a[0] += b[1] * t_cur[0]
+    a[1] += b[1] * t_cur[1]
+    for m_idx in range(2, degree + 1):
+        t_next = [mp.mpf(0)] * (m_idx + 1)
+        for j, cj in enumerate(t_cur):
+            t_next[j + 1] += 4 * cj
+            t_next[j] -= 2 * cj
+        for j, cj in enumerate(t_prev):
+            t_next[j] -= cj
+        for j, cj in enumerate(t_next):
+            a[j] += b[m_idx] * cj
+        t_prev, t_cur = t_cur, t_next
+    return a
+
+
+@pytest.mark.parametrize("degree", [1, 2, 5, 11, 30, 60])
+def test_monomials_match_direct_formulation(degree):
+    dps = 50 + 2 * degree
+    with mp.workdps(dps):
+        sigma = mp.mpf(1) / (4 * degree)
+        for c in ("0", "0.01", "0.5", "0.99"):
+            got = recovery._mollified_indicator_monomials(mp.mpf(c), sigma, degree)
+            want = reference_monomials(mp.mpf(c), sigma, degree)
+            assert len(got) == len(want) == degree + 1
+            scale = max(abs(x) for x in want)
+            assert max(abs(g - w) for g, w in zip(got, want)) <= mp.mpf(10) ** -(dps - 20) * scale
+
+
+@pytest.mark.parametrize("group", ["circle", "su2"])
+def test_moment_cdf_bitwise_equal_to_direct_formulation(monkeypatch, group):
+    spec = (
+        spectrum_closed_form(CircleGroup(), 40)
+        if group == "circle"
+        else spectrum_quadrature(SU2Group(), 40, nodes=128)
+    )
+    radii = [float(R) for R in np.linspace(0.1 * PI, 0.9 * PI, 8)]
+    got = [ball_volume_from_moments(spec, R, 40, dmax=PI) for R in radii]
+    monkeypatch.setattr(recovery, "_mollified_indicator_monomials", reference_monomials)
+    assert got == [ball_volume_from_moments(spec, R, 40, dmax=PI) for R in radii]
+
+
+def test_moment_cdf_float_spectrum_guard():
+    spec = spectrum_monte_carlo(CircleGroup(), 40, 10**5, seed=0)
+    F, info = ball_volume_from_moments(spec, PI / 2, 12, dmax=PI, full_output=True)
+    assert abs(F - 0.5) < 0.02
+    assert not info["exact_moments"]
+    assert info["error_bound"] == pytest.approx(info["amplification"] * 2.0**-52)
+    assert info["error_bound"] < recovery.PAIRING_TOL
+    with pytest.raises(FitFailure, match="degree 40"):
+        ball_volume_from_moments(spec, PI / 2, 40, dmax=PI)
+
+
+def test_moment_cdf_refuses_exact_values_stored_as_float():
+    exact = spectrum_closed_form(CircleGroup(), 60)
+    _, info = ball_volume_from_moments(exact, PI / 2, 60, full_output=True)
+    assert info["error_bound"] < 1e-100
+    with pytest.raises(FitFailure, match="degree 60"):
+        ball_volume_from_moments(TraceSpectrum(exact.values, 60), PI / 2, 60)
 
 
 def test_moment_cdf_degree_check():
