@@ -12,7 +12,8 @@ computed four ways:
   * Monte Carlo -- chunked, seeded, thread-count independent, with
     per-coefficient standard errors,
   * the product rule -- the level-N average of a Riemannian product is
-    sum_k [k!(N-k)!/N!] (A_k shuffle B_{N-k}) over the embedded factors.
+    sum_k [k!(N-k)!/N!] (A_k shuffle B_{N-k}), each shuffle taken on the
+    factors' own blocks and written into the product's level block by block.
 
 Per-sample signatures are exact tensor exponentials of Haar logs, so Monte
 Carlo error is purely statistical.
@@ -27,7 +28,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .groups import CircleGroup, ProductGroup, SU2Group, map_chunks, mean_stderr, stream
-from .tensor import TruncatedTensorSeries, _check_budget, shuffle_levels
+from .tensor import TruncatedTensorSeries, _check_budget, _interleavings
 
 __all__ = [
     "AverageSignatureResult",
@@ -78,6 +79,7 @@ def average_closed_form(model, N: int) -> AverageSignatureResult:
     if isinstance(model, ProductGroup) and all(
         isinstance(f, CircleGroup) for f in model.factors
     ):
+        _check_budget(model.dim, N)
         acc = average_closed_form(model.factors[0], N)
         for f in model.factors[1:]:
             acc = product_average_shuffle(acc, average_closed_form(f, N), N)
@@ -245,45 +247,38 @@ def average_monte_carlo(
     )
 
 
-def _embed_level(level: np.ndarray, k: int, n_from: int, n_to: int, offset: int) -> np.ndarray:
-    """Re-index a level over R^{n_from} as a level over R^{n_to}, with the
-    source basis occupying coordinates offset..offset+n_from-1."""
-    if k == 0:
-        return level.copy()
-    view = level.reshape((n_from,) * k)
-    pad = (offset, n_to - n_from - offset)
-    return np.pad(view, [pad] * k).ravel()
-
-
 def product_average_shuffle(
     a: AverageSignatureResult, b: AverageSignatureResult, N: int
 ) -> AverageSignatureResult:
     """Average signature of a product group from its factors' averages.
 
     Level N of the product is sum_k [k!(N-k)!/N!] (A_k shuffle B_{N-k}),
-    with factor words embedded side by side (first factor's basis first).
+    with the first factor's basis first.  Each interleaving of the k slots
+    of A_k with the N-k slots of B_{N-k} writes the outer product of the
+    factors' own blocks into the sub-block where the first factor's slots
+    range over 0..n1-1 and the others over n1..n1+n2-1.  Those sub-blocks
+    are disjoint, so every word of the product receives exactly one term.
     """
     n1, n2 = a.tensor.dim, b.tensor.dim
     if a.tensor.depth < N or b.tensor.depth < N:
         raise ValueError("factor averages must be truncated at depth >= N")
     n = n1 + n2
     _check_budget(n, N)
-    emb_a = [
-        _embed_level(a.tensor.levels[k], k, n1, n, 0) for k in range(N + 1)
-    ]
-    emb_b = [
-        _embed_level(b.tensor.levels[k], k, n2, n, n1) for k in range(N + 1)
-    ]
-    out = [np.zeros(n**lvl) for lvl in range(N + 1)]
+    first, second = slice(0, n1), slice(n1, n)
+    out = [np.zeros((n,) * lvl) for lvl in range(N + 1)]
     for lvl in range(N + 1):
-        acc = out[lvl]
         for k in range(lvl + 1):
-            if not (np.any(emb_a[k]) and np.any(emb_b[lvl - k])):
+            x, y = a.tensor.levels[k], b.tensor.levels[lvl - k]
+            if not (np.any(x) and np.any(y)):
                 continue
             weight = (
                 math.factorial(k) * math.factorial(lvl - k) / math.factorial(lvl)
             )
-            acc += weight * shuffle_levels(emb_a[k], k, emb_b[lvl - k], lvl - k, n)
+            # axes: k slots of the first factor, then lvl - k of the second
+            outer = np.multiply.outer(x.reshape((n1,) * k), y.reshape((n2,) * (lvl - k)))
+            for slots, axes in _interleavings(k, lvl - k):
+                block = tuple(first if t in slots else second for t in range(lvl))
+                out[lvl][block] += weight * outer.transpose(axes)
     return AverageSignatureResult(
-        TruncatedTensorSeries(n, N, tuple(out)), "product_shuffle"
+        TruncatedTensorSeries(n, N, tuple(lv.ravel() for lv in out)), "product_shuffle"
     )

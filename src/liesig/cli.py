@@ -31,6 +31,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -43,7 +44,7 @@ from .average import (
 from .groups import CircleGroup, ProductGroup, parse_group
 from .recovery import AmbiguousDimension, FitFailure, recover
 from .spectra import spectrum_closed_form, spectrum_monte_carlo, spectrum_quadrature
-from .tensor import BudgetError
+from .tensor import BudgetError, _check_budget
 
 __all__ = ["main", "RunConfig"]
 
@@ -94,12 +95,61 @@ def _provenance(cfg: RunConfig) -> dict:
     return d
 
 
-def _emit(cfg: RunConfig, payload: dict, csv_rows: list[list] | None) -> None:
+def _json_text(obj) -> str:
+    """Exactly ``json.dumps(obj, sort_keys=True, indent=2)``.
+
+    With ``indent`` set the stdlib encodes every value in Python.  Here each
+    list of plain scalars (a tensor level holds up to millions of floats)
+    goes through the C encoder in one call instead, with the newline and
+    indentation folded into its item separator; dicts and nested lists are
+    laid out in Python as the stdlib lays them out.
+    """
+    scalar_types = {float, int, str, bool, type(None)}
+    scalar = json.JSONEncoder()
+    flat: dict[int, json.JSONEncoder] = {}  # C encoders for flat lists, by depth
+
+    def encode(o, depth: int) -> str:
+        if isinstance(o, (list, tuple)):
+            if not o:
+                return "[]"
+            pad = "\n" + "  " * (depth + 1)
+            if set(map(type, o)) <= scalar_types:
+                if depth not in flat:
+                    flat[depth] = json.JSONEncoder(separators=("," + pad, ": "))
+                body = flat[depth].encode(o)[1:-1]
+            else:
+                body = ("," + pad).join(encode(v, depth + 1) for v in o)
+            return "[" + pad + body + "\n" + "  " * depth + "]"
+        if isinstance(o, dict):
+            if not o:
+                return "{}"
+            pad = "\n" + "  " * (depth + 1)
+            items = []
+            for key, v in sorted(o.items()):
+                if not isinstance(key, str):
+                    if key is not None and not isinstance(key, (int, float)):
+                        raise TypeError(
+                            f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+                        )
+                    key = scalar.encode(key)  # true, null, 1.5, ... as the stdlib writes them
+                items.append(scalar.encode(key) + ": " + encode(v, depth + 1))
+            return "{" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "}"
+        return scalar.encode(o)
+
+    return encode(obj, 0)
+
+
+def _emit(cfg: RunConfig, payload: dict, csv_rows: Callable[[], Iterable[list]]) -> None:
+    """Write the payload as JSON, or ``csv_rows()`` as CSV.
+
+    ``csv_rows`` is a callable returning an iterable of rows, so the rows
+    are built only when CSV is asked for.
+    """
     if cfg.format == "json":
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        text = _json_text(payload) + "\n"
     else:
         lines = [f"# {k}={v}" for k, v in sorted(_provenance(cfg).items())]
-        for row in csv_rows or []:
+        for row in csv_rows():
             lines.append(",".join(repr(x) if isinstance(x, float) else str(x) for x in row))
         text = "\n".join(lines) + "\n"
     if cfg.output:
@@ -124,6 +174,7 @@ def _cmd_average(cfg: RunConfig) -> int:
     elif cfg.method == "product_shuffle":
         if not isinstance(model, ProductGroup):
             raise ConfigError("product_shuffle needs a product group")
+        _check_budget(model.dim, cfg.depth)  # before any factor is built
         parts = []
         for f in model.factors:
             if isinstance(f, CircleGroup):
@@ -136,13 +187,16 @@ def _cmd_average(cfg: RunConfig) -> int:
     else:
         raise ConfigError(f"unknown average method {cfg.method!r}")
     payload = {"config": _provenance(cfg), "result": res.to_json_dict()}
-    rows = [["kind", "level", "index", "value"]]
-    for k, lv in enumerate(res.tensor.levels):
-        for i, val in enumerate(lv):
-            rows.append(["coeff", k, i, float(val)])
-    if res.stderr_per_level is not None:
-        for k, s in enumerate(res.stderr_per_level):
-            rows.append(["stderr_level", k, 0, float(s)])
+
+    def rows():
+        yield ["kind", "level", "index", "value"]
+        for k, lv in enumerate(res.tensor.levels):
+            for i, val in enumerate(lv):
+                yield ["coeff", k, i, float(val)]
+        if res.stderr_per_level is not None:
+            for k, s in enumerate(res.stderr_per_level):
+                yield ["stderr_level", k, 0, float(s)]
+
     _emit(cfg, payload, rows)
     return 0
 
@@ -158,12 +212,15 @@ def _cmd_spectrum(cfg: RunConfig) -> int:
     else:
         raise ConfigError(f"unknown spectrum method {cfg.method!r}")
     payload = {"config": _provenance(cfg), "result": spec.to_json_dict()}
-    rows = [["kind", "k", "value"]]
-    for k, v in enumerate(spec.values):
-        rows.append(["rtr", k, float(v)])
-    if spec.stderr is not None:
-        for k, s in enumerate(spec.stderr):
-            rows.append(["stderr", k, float(s)])
+
+    def rows():
+        yield ["kind", "k", "value"]
+        for k, v in enumerate(spec.values):
+            yield ["rtr", k, float(v)]
+        if spec.stderr is not None:
+            for k, s in enumerate(spec.stderr):
+                yield ["stderr", k, float(s)]
+
     _emit(cfg, payload, rows)
     return 0
 
@@ -181,10 +238,10 @@ def _cmd_recover(cfg: RunConfig) -> int:
         )
     except (AmbiguousDimension, FitFailure) as exc:
         payload = {"config": _provenance(cfg), "error": str(exc), "result": None}
-        _emit(cfg, payload, [["kind", "index", "x", "value"], ["error", 0, 0.0, str(exc)]])
+        _emit(cfg, payload, lambda: [["kind", "index", "x", "value"], ["error", 0, 0.0, str(exc)]])
         return 3
     payload = {"config": _provenance(cfg), "result": report.to_json_dict()}
-    _emit(cfg, payload, report.csv_rows())
+    _emit(cfg, payload, report.csv_rows)
     return 0
 
 

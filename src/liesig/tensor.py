@@ -47,14 +47,28 @@ class BudgetError(ValueError):
 
 def series_size(dim: int, depth: int) -> int:
     """Total number of stored coefficients, sum_{k<=depth} dim^k."""
-    return sum(dim**k for k in range(depth + 1))
+    return depth + 1 if dim == 1 else (dim ** (depth + 1) - 1) // (dim - 1)
+
+
+def _over_budget(dim: int, depth: int) -> bool:
+    # adds dim**k only until the budget is passed: at a huge depth the full
+    # count is a big integer with thousands of digits
+    if dim == 1:
+        return depth + 1 > COEFF_BUDGET
+    total, term = 0, 1
+    for _ in range(depth + 1):
+        total += term
+        if total > COEFF_BUDGET:
+            return True
+        term *= dim
+    return False
 
 
 def _check_budget(dim: int, depth: int) -> None:
-    if series_size(dim, depth) > COEFF_BUDGET:
+    if _over_budget(dim, depth):
         raise BudgetError(
-            f"dense series with dim={dim}, depth={depth} needs "
-            f"{series_size(dim, depth)} coefficients (budget {COEFF_BUDGET})"
+            f"dense series with dim={dim}, depth={depth} needs more than "
+            f"{COEFF_BUDGET} coefficients (the budget)"
         )
 
 
@@ -193,22 +207,33 @@ def shuffle_levels(x: np.ndarray, p: int, y: np.ndarray, q: int, n: int) -> np.n
     outer = np.multiply.outer(
         x.reshape((n,) * p), y.reshape((n,) * q)
     )  # axes: p x-slots then q y-slots
-    total = p + q
-    out = np.zeros((n,) * total)
-    for slots in combinations(range(total), p):
-        axes = [0] * total
-        xi, yi = 0, p
-        slot_set = set(slots)
-        for t in range(total):
-            if t in slot_set:
-                axes[t] = xi
-                xi += 1
-            else:
-                axes[t] = yi
-                yi += 1
-        # axes[t] names which axis of `outer` lands at result slot t
+    out = np.zeros((n,) * (p + q))
+    for _slots, axes in _interleavings(p, q):
         out += outer.transpose(axes)
     return out.ravel()
+
+
+def _interleavings(p: int, q: int):
+    """Yield (slots, axes) for each order-preserving interleaving of p slots
+    with q slots, in ``itertools.combinations`` order.
+
+    ``slots`` is the set of result positions taken by the first p slots;
+    axes[t] names which axis of an outer product (p axes, then q) lands at
+    result position t.
+    """
+    total = p + q
+    for slots in combinations(range(total), p):
+        slot_set = set(slots)
+        axes = []
+        xi, yi = 0, p
+        for t in range(total):
+            if t in slot_set:
+                axes.append(xi)
+                xi += 1
+            else:
+                axes.append(yi)
+                yi += 1
+        yield slot_set, axes
 
 
 def shuffle_product(

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liesig.average import (
+    AverageSignatureResult,
     average_closed_form,
     average_monte_carlo,
     average_quadrature,
@@ -13,7 +15,7 @@ from liesig.average import (
     su2_radial_moments,
 )
 from liesig.groups import CircleGroup, SU2Group, parse_group, stream
-from liesig.tensor import trace_level
+from liesig.tensor import TruncatedTensorSeries, shuffle_levels, trace_level
 
 PI = math.pi
 
@@ -187,6 +189,91 @@ def test_product_shuffle_mixed_group():
     for k in range(5):
         diff = np.abs(prod.tensor.levels[k] - mc.tensor.levels[k])
         assert np.all(diff <= 4.0 * mc.stderr_coeffs[k] + 1e-14)
+
+
+def _embed_level(level, k, n_from, n_to, offset):
+    # reference only: re-index a level over R^n_from as a level over R^n_to,
+    # the source basis at coordinates offset..offset+n_from-1
+    if k == 0:
+        return level.copy()
+    pad = (offset, n_to - n_from - offset)
+    return np.pad(level.reshape((n_from,) * k), [pad] * k).ravel()
+
+
+def _padded_product_levels(a, b, N):
+    """The product rule on factors padded to R^(n1+n2), through shuffle_levels."""
+    n1, n2 = a.tensor.dim, b.tensor.dim
+    n = n1 + n2
+    emb_a = [_embed_level(a.tensor.levels[k], k, n1, n, 0) for k in range(N + 1)]
+    emb_b = [_embed_level(b.tensor.levels[k], k, n2, n, n1) for k in range(N + 1)]
+    out = [np.zeros(n**lvl) for lvl in range(N + 1)]
+    for lvl in range(N + 1):
+        for k in range(lvl + 1):
+            if not (np.any(emb_a[k]) and np.any(emb_b[lvl - k])):
+                continue
+            weight = math.factorial(k) * math.factorial(lvl - k) / math.factorial(lvl)
+            out[lvl] += weight * shuffle_levels(emb_a[k], k, emb_b[lvl - k], lvl - k, n)
+    return out
+
+
+def _assert_bitwise(levels, reference):
+    assert len(levels) == len(reference)
+    for lv, ref in zip(levels, reference):
+        assert np.array_equal(lv, ref)
+        assert np.array_equal(np.signbit(lv), np.signbit(ref))  # -0.0 too
+
+
+def _as_result(levels, n):
+    return AverageSignatureResult(
+        TruncatedTensorSeries(n, len(levels) - 1, tuple(levels)), "reference"
+    )
+
+
+def test_product_shuffle_matches_padded_oracle_su2_circle():
+    q = average_quadrature(SU2Group(), 10, nodes=64)
+    c = average_closed_form(CircleGroup(), 10)
+    for a, b in ((q, c), (c, q)):
+        _assert_bitwise(product_average_shuffle(a, b, 10).tensor.levels,
+                        _padded_product_levels(a, b, 10))
+
+
+def test_product_shuffle_matches_padded_oracle_mc_and_circles():
+    mc = average_monte_carlo(SU2Group(), 5, 4000, seed=17)
+    assert np.any(mc.tensor.levels[3])  # odd levels of a Monte Carlo factor are nonzero
+    q = average_quadrature(SU2Group(), 5, nodes=64)
+    for a, b in ((mc, q), (q, mc), (mc, mc)):
+        _assert_bitwise(product_average_shuffle(a, b, 5).tensor.levels,
+                        _padded_product_levels(a, b, 5))
+    c = average_closed_form(CircleGroup(), 9)
+    _assert_bitwise(product_average_shuffle(c, c, 9).tensor.levels,
+                    _padded_product_levels(c, c, 9))
+
+
+def test_product_shuffle_matches_padded_oracle_three_factors():
+    c = average_closed_form(CircleGroup(), 6)
+    q = average_quadrature(SU2Group(), 6, nodes=64)
+    mc = average_monte_carlo(CircleGroup(), 6, 3000, seed=4)
+    new = product_average_shuffle(product_average_shuffle(c, q, 6), mc, 6)
+    ref = _padded_product_levels(_as_result(_padded_product_levels(c, q, 6), 4), mc, 6)
+    assert new.tensor.dim == 5
+    _assert_bitwise(new.tensor.levels, ref)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 4), st.integers(0, 2**32 - 1))
+def test_product_shuffle_matches_padded_oracle_random_levels(n1, n2, N, seed):
+    # signed, zero and sparse coefficients, so signed zeros are exercised too
+    rng = np.random.default_rng(seed)
+
+    def factor(n):
+        levels = [rng.normal(size=n**k) * (rng.random(n**k) < 0.7) for k in range(N + 1)]
+        if N >= 1 and rng.random() < 0.3:
+            levels[1][:] = 0.0
+        return _as_result(levels, n)
+
+    a, b = factor(n1), factor(n2)
+    _assert_bitwise(product_average_shuffle(a, b, N).tensor.levels,
+                    _padded_product_levels(a, b, N))
 
 
 def test_product_shuffle_depth_check():

@@ -1,7 +1,13 @@
 import json
 import math
 
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import liesig.cli as cli
 from liesig.cli import main
+from liesig.recovery import RecoveryReport
 
 PI = math.pi
 
@@ -122,3 +128,115 @@ def test_verify_subset(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.count("[PASS]") == 2
+
+
+# -- JSON encoder and lazy CSV rows -------------------------------------------
+
+_edge_floats = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-7, 0.1, 1e16])
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), _edge_floats, st.text(),
+    st.sampled_from(["", "é", "π ∑", " ", "tab\tquote\"", "\U0001f600"]),
+)
+_float_lists = st.lists(st.one_of(st.floats(), _edge_floats, st.integers()), max_size=20)
+_trees = st.recursive(
+    st.one_of(_scalars, _float_lists),
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(st.text(max_size=6), children, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_trees)
+def test_json_text_matches_stdlib(obj):
+    assert cli._json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+def test_json_text_keys_and_numpy_scalars():
+    for obj in (
+        {1: "a", 2.5: [1.0], -3: {}},
+        {True: 1},
+        {False: "x"},
+        {None: [True, False, None]},
+        {"v": [np.float64(1.1), 2, np.float64(-0.0)]},
+        [[], {}, [[]], [{}], ()],
+        [float("nan"), float("inf"), -float("inf")],
+    ):
+        assert cli._json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
+    for bad in ({(1, 2): 0}, {"x": np.zeros(2)}):
+        with pytest.raises(TypeError):
+            cli._json_text(bad)
+
+
+_CLI_CASES = [
+    ["average", "--group", "su2", "--method", "quadrature", "--depth", "6"],
+    ["average", "--group", "su2", "--method", "monte_carlo", "--depth", "3",
+     "--samples", "20000", "--seed", "7"],
+    ["average", "--group", "product:su2,circle", "--method", "product_shuffle", "--depth", "5"],
+    ["spectrum", "--group", "su2", "--method", "monte_carlo", "--half-depth", "4",
+     "--samples", "20000", "--seed", "3"],
+    ["recover", "--group", "circle", "--samples", "50000", "--seed", "5", "--half-depth", "6"],
+]
+
+
+def _csv_from_payload(argv, payload):
+    # the CSV layouts of the module docstring, rebuilt from the JSON payload
+    def cell(x):
+        return repr(x) if isinstance(x, float) else str(x)
+
+    config = dict(payload["config"], format="csv")
+    lines = [f"# {k}={v}" for k, v in sorted(config.items())]
+    res = payload["result"]
+    if argv[0] == "average":
+        rows = [["kind", "level", "index", "value"]]
+        rows += [["coeff", k, i, v] for k, lv in enumerate(res["levels"]) for i, v in enumerate(lv)]
+        rows += [["stderr_level", k, 0, s] for k, s in enumerate(res["stderr"] or [])]
+    elif argv[0] == "spectrum":
+        rows = [["kind", "k", "value"]]
+        rows += [["rtr", k, v] for k, v in enumerate(res["rtr"])]
+        rows += [["stderr", k, s] for k, s in enumerate(res.get("stderr") or [])]
+    else:
+        rows = [["kind", "index", "x", "value"]]
+        rows += [["F_table", i, r, f] for i, (r, f) in enumerate(res["F_table"])]
+        raw = res["diagnostics"]["diameter"]["raw_sequence"]
+        rows += [["diameter_raw", i, 2 * i, v] for i, v in enumerate(raw, start=1)]
+    return "\n".join(lines + [",".join(cell(x) for x in row) for row in rows]) + "\n"
+
+
+@pytest.mark.parametrize("argv", _CLI_CASES, ids=lambda a: "-".join(a[:5:2]))
+def test_cli_json_and_csv_bytes_match_stdlib_route(argv, tmp_path, monkeypatch):
+    _, pj = run(argv, tmp_path, "fast")
+    text = pj.read_text()
+    payload = json.loads(text)
+    monkeypatch.setattr(cli, "_json_text", lambda o: json.dumps(o, sort_keys=True, indent=2))
+    _, ps = run(argv, tmp_path, "stdlib")
+    assert pj.read_bytes() == ps.read_bytes()
+    assert text == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    _, pc = run(argv + ["--format", "csv"], tmp_path, "csv")
+    assert pc.read_text() == _csv_from_payload(argv, payload)
+
+
+def test_json_output_builds_no_csv_rows(tmp_path, monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("CSV rows built for JSON output")
+
+    monkeypatch.setattr(RecoveryReport, "csv_rows", refuse)
+    code, path = run(["recover", "--group", "circle", "--samples", "50000", "--seed", "5",
+                      "--half-depth", "6"], tmp_path)
+    assert code == 0 and json.loads(path.read_text())["result"]["dimension"]["rounded"] == 1
+
+
+@pytest.mark.parametrize("group,method", [
+    ("su2", "monte_carlo"),
+    ("su2", "quadrature"),
+    ("product:circle,su2", "product_shuffle"),
+    ("torus:2", "closed_form"),
+])
+def test_huge_depth_refused_by_budget(group, method, capsys):
+    code = main(["average", "--group", group, "--method", method, "--depth", "100000"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "needs more than 100000000 coefficients" in err
