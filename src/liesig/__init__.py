@@ -26,9 +26,7 @@ from .groups import (
     SU2Group,
     ProductGroup,
     CutLocusError,
-    DomainError,
     parse_group,
-    haar_sample,
     stream,
 )
 from .paths import (
@@ -63,7 +61,6 @@ from .recovery import (
     diameter_estimate,
     unit_ball_volume,
     ball_volume_from_moments,
-    ball_volume_empirical,
     RadialCdfEstimator,
     small_ball_recovery,
     recover,

@@ -5,10 +5,10 @@ computed four ways:
 
   * closed form -- circle (level 2k is pi^{2k}/(2k+1)! on the only word,
     odd levels vanish) and tori assembled from it,
-  * deterministic quadrature -- circle by Gauss-Legendre, SU(2) by the
-    radial x spherical split: level k is (m_k / k!) M_k with m_k the k-th
-    moment of the radial density (2/pi) sin^2 r on [0, pi] and M_k the
-    normalised moment tensor of the uniform measure on S^2,
+  * deterministic quadrature -- the radial x direction split: level k is
+    (m_k / k!) M_k with m_k = E[d^k] from the model's ``radial_moments``
+    (Gauss-Legendre) and M_k its ``direction_moment(k)``, the moment
+    tensor of v/|v| (for SU(2) the uniform measure on S^2),
   * Monte Carlo -- chunked, seeded, thread-count independent, with
     per-coefficient standard errors,
   * the product rule -- the level-N average of a Riemannian product is
@@ -23,11 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from .groups import CircleGroup, ProductGroup, SU2Group, map_chunks, mean_stderr, stream
+# sphere_moment_level and su2_radial_moments live with SU2Group and are
+# re-exported here, where the benchmark's tracer looks them up
+from .groups import CircleGroup, map_chunks, mean_stderr, sphere_moment_level, stream, su2_radial_moments
 from .tensor import TruncatedTensorSeries, _check_budget, _interleavings
 
 __all__ = [
@@ -38,7 +40,6 @@ __all__ = [
     "product_average_shuffle",
     "sphere_moment_level",
     "su2_radial_moments",
-    "radial_moments",
     "mc_chunk_size",
 ]
 
@@ -68,132 +69,61 @@ class AverageSignatureResult:
         return out
 
 
+def _is_torus(model) -> bool:
+    """True for the circle and for products of circles only."""
+    return all(isinstance(f, CircleGroup) for f in getattr(model, "factors", (model,)))
+
+
+def _power_over_factorial(x: float, p: int, k: int) -> float:
+    """x^p / k! for finite x.
+
+    Up to 170! this is the float division ``x**p / math.factorial(k)``.
+    Past it k! is no float (and x^p may not be one either), so the quotient
+    is taken exactly in rationals and rounded once, to 0.0 where it
+    underflows.
+    """
+    if k <= 170:
+        return x**p / math.factorial(k)
+    return float(Fraction(x) ** p / math.factorial(k))
+
+
 def average_closed_form(model, N: int) -> AverageSignatureResult:
-    """Exact average signature for the circle and for products of circles."""
-    if isinstance(model, CircleGroup):
-        levels = [np.zeros(1) for _ in range(N + 1)]
-        for k in range(0, N + 1, 2):
-            levels[k][0] = math.pi**k / math.factorial(k + 1)
-        tensor = TruncatedTensorSeries(1, N, tuple(levels))
-        return AverageSignatureResult(tensor, "closed_form")
-    if isinstance(model, ProductGroup) and all(
-        isinstance(f, CircleGroup) for f in model.factors
-    ):
-        _check_budget(model.dim, N)
-        acc = average_closed_form(model.factors[0], N)
-        for f in model.factors[1:]:
-            acc = product_average_shuffle(acc, average_closed_form(f, N), N)
-        return AverageSignatureResult(acc.tensor, "closed_form")
-    raise ValueError("closed form is available for the circle and circle products only")
+    """Exact average signature for the circle and for products of circles.
 
-
-def su2_radial_moments(max_k: int, nodes: int = 64) -> np.ndarray:
-    """Moments m_k = int_0^pi r^k (2/pi) sin^2 r dr, k=0..max_k, by Gauss-Legendre.
-
-    Each row is summed on its own, so m_k depends only on k and ``nodes``,
-    never on ``max_k``.
+    Circle level 2k is pi^{2k}/(2k+1)! and odd levels vanish; a torus is
+    the product rule applied to one circle per factor.
     """
-    x, w = leggauss(nodes)
-    r = 0.5 * math.pi * (x + 1.0)
-    w = 0.5 * math.pi * w
-    dens = (2.0 / math.pi) * np.sin(r) ** 2
-    powers = r[None, :] ** np.arange(max_k + 1)[:, None]
-    return (powers * (w * dens)).sum(axis=1)
-
-
-def radial_moments(model, K: int, nodes: int = 64) -> np.ndarray:
-    """E[d^{2k}], k = 0..K, of the Haar distance d = d(e, g), by quadrature.
-
-    Circle by Gauss-Legendre on [-pi, pi], SU(2) from ``su2_radial_moments``;
-    squared distances add over product factors, so products convolve:
-    E[(a + b)^N] = sum_k C(N, k) E[a^k] E[b^(N-k)].
-    """
-    if isinstance(model, CircleGroup):
-        x, w = leggauss(nodes)
-        theta = math.pi * x
-        return (theta[None, :] ** (2 * np.arange(K + 1)[:, None])) @ (w / 2.0)
-    if isinstance(model, SU2Group):
-        return su2_radial_moments(2 * K, nodes)[::2]
-    if isinstance(model, ProductGroup):
-        parts = [radial_moments(f, K, nodes) for f in model.factors]
-        acc = parts[0]
-        for nxt in parts[1:]:
-            acc = np.array(
-                [sum(math.comb(N, k) * acc[k] * nxt[N - k] for k in range(N + 1)) for N in range(K + 1)]
-            )
-        return acc
-    raise ValueError("radial moments cover circle, su2, and their products")
-
-
-_DOUBLE_FACT = {0: 1.0}
-
-
-def _double_factorial(m: int) -> float:
-    # (m)!! for odd m >= -1, cached
-    if m not in _DOUBLE_FACT:
-        _DOUBLE_FACT[m] = 1.0 if m <= 0 else m * _double_factorial(m - 2)
-    return _DOUBLE_FACT[m]
-
-
-def sphere_moment_level(k: int) -> np.ndarray:
-    """Flat moment tensor of the uniform unit measure on S^2 in R^3 at level k.
-
-    Entry (i_1..i_k) is E[v_{i_1} ... v_{i_k}]: zero unless every coordinate
-    appears an even number of times, in which case it equals
-    prod_j (a_j - 1)!! / (k+1)!! for the occurrence counts a_j.
-    """
-    if k % 2 == 1:
-        return np.zeros(3**k)
-    if k == 0:
-        return np.ones(1)
-    norm = _double_factorial(k + 1)
-    table = np.zeros((k + 1, k + 1))
-    for a in range(0, k + 1, 2):
-        for b in range(0, k + 1 - a, 2):
-            c = k - a - b
-            if c % 2 == 0:
-                table[a, b] = (
-                    _double_factorial(a - 1)
-                    * _double_factorial(b - 1)
-                    * _double_factorial(c - 1)
-                    / norm
-                )
-    out = np.empty(3**k)
-    slab = 1 << 22
-    for start in range(0, 3**k, slab):
-        stop = min(start + slab, 3**k)
-        idx = np.arange(start, stop, dtype=np.int64)
-        a = np.zeros(stop - start, dtype=np.int64)
-        b = np.zeros(stop - start, dtype=np.int64)
-        for _ in range(k):
-            d = idx % 3
-            a += d == 0
-            b += d == 1
-            idx //= 3
-        out[start:stop] = table[a, b]
-    return out
+    if not _is_torus(model):
+        raise ValueError("closed form is available for the circle and circle products only")
+    _check_budget(model.dim, N)
+    levels = [np.zeros(1) for _ in range(N + 1)]
+    for k in range(0, N + 1, 2):
+        levels[k][0] = _power_over_factorial(math.pi, k, k + 1)
+    acc = circle = AverageSignatureResult(TruncatedTensorSeries(1, N, tuple(levels)), "closed_form")
+    for _ in range(model.dim - 1):
+        acc = product_average_shuffle(acc, circle, N)
+    return AverageSignatureResult(acc.tensor, "closed_form")
 
 
 def average_quadrature(model, N: int, nodes: int = 64) -> AverageSignatureResult:
-    """Deterministic average signature for the circle or SU(2).
+    """Deterministic average signature for models with direction moments.
 
     Even level k is (m_k / k!) times the direction's moment tensor; odd
     levels vanish analytically (sign-flip symmetry) and are pinned to zero.
     """
-    if isinstance(model, CircleGroup):
-        n, direction = 1, lambda k: np.ones(1)
-    elif isinstance(model, SU2Group):
-        n, direction = 3, sphere_moment_level
-    else:
-        raise ValueError("quadrature is available for circle and su2 models only")
+    # level 0 is M_0 = 1; asking for it first refuses a model without
+    # direction moments (a product) before any other work
+    levels = [model.direction_moment(0)]
+    n = model.dim
     _check_budget(n, N)
-    m = radial_moments(model, N // 2, nodes)
-    levels = [np.ones(1)]
+    m = model.radial_moments(N // 2, nodes)
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"radial moments up to depth {N} overflow float64")
     for k in range(1, N + 1):
         if k % 2 == 1:
             levels.append(np.zeros(n**k))
         else:
-            levels.append((m[k // 2] / math.factorial(k)) * direction(k))
+            levels.append(_power_over_factorial(m[k // 2], 1, k) * model.direction_moment(k))
     return AverageSignatureResult(TruncatedTensorSeries(n, N, tuple(levels)), "quadrature")
 
 

@@ -9,8 +9,15 @@ quaternions, and flat Riemannian products of those.  Each model exposes
   * group multiplication and inversion,
   * seeded Haar sampling, vectorised as ``sample_log_batch`` which returns
     the algebra vectors v = log(g) of Haar draws directly,
-  * the density w(v) on the star-shaped domain D in the algebra whose
-    pushforward under exp is the normalised Haar measure.
+  * the radial law of d = d(e, g) = |log g| and the direction of v/|v|,
+    which is all the deterministic layers read:
+    ``radial_moments(K, nodes)`` gives E[d^2k], k = 0..K, in float64 by
+    Gauss-Legendre, ``exact_radial_moments(K, dps)`` the same numbers in
+    mpmath, and ``direction_moment(k)`` the flat level-k moment tensor of
+    v/|v|.  Products compose their factors' radial moments through one
+    binomial convolution.  They refuse ``direction_moment``: the direction
+    of (v_1, v_2) depends on both factors' radii, so it does not factor,
+    and their averages come from the product rule instead.
 
 For SU(2) the basis {e1, e2, e3} is orthonormal with bracket relations
 [e1,e2] = 2 e3, [e1,e3] = -2 e2, [e2,e3] = 2 e1; with that normalisation
@@ -30,11 +37,12 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 
+import mpmath as mp
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "CutLocusError",
-    "DomainError",
     "CUT_TOLERANCE",
     "stream",
     "map_chunks",
@@ -43,7 +51,9 @@ __all__ = [
     "SU2Group",
     "ProductGroup",
     "parse_group",
-    "haar_sample",
+    "su2_radial_moments",
+    "su2_radial_integrals_mp",
+    "sphere_moment_level",
 ]
 
 CUT_TOLERANCE = 1e-9
@@ -53,10 +63,6 @@ _TWO_PI = 2.0 * math.pi
 
 class CutLocusError(ValueError):
     """Point is at (or numerically on) the cut locus of the identity."""
-
-
-class DomainError(ValueError):
-    """Algebra vector lies outside the principal star-shaped domain."""
 
 
 def stream(seed: int, chunk: int | None = None) -> np.random.Generator:
@@ -154,23 +160,19 @@ class CircleGroup:
     def distance_from_uniforms(self, u: np.ndarray) -> np.ndarray:
         return np.abs(math.pi - _TWO_PI * u[:, 0])
 
-    def pullback_density(self, v) -> float:
-        v = np.asarray(v, dtype=np.float64)
-        if abs(float(v[0])) >= math.pi:
-            raise DomainError("outside the principal interval (-pi, pi)")
-        return 1.0 / _TWO_PI
+    def radial_moments(self, K: int, nodes: int = 64) -> np.ndarray:
+        # d = |theta| with theta uniform on (-pi, pi): Gauss-Legendre there
+        x, w = leggauss(nodes)
+        theta = math.pi * x
+        return (theta[None, :] ** (2 * np.arange(K + 1)[:, None])) @ (w / 2.0)
 
-    def diameter_hint(self) -> float:
-        return math.pi
+    def exact_radial_moments(self, K: int, dps: int) -> tuple:
+        with mp.workdps(dps):
+            return tuple(mp.pi ** (2 * k) / (2 * k + 1) for k in range(K + 1))
 
-    def volume(self) -> float:
-        return _TWO_PI
-
-    def point_coords(self, g) -> list[float]:
-        return [float(g)]
-
-    def descriptor(self) -> dict:
-        return {"kind": "circle", "dim": 1}
+    def direction_moment(self, k: int) -> np.ndarray:
+        # v/|v| = +-1 with equal weight
+        return np.array([1.0 - k % 2])
 
 
 _SU2_BLOCK = 1 << 16
@@ -240,6 +242,99 @@ def _su2_radius_from_uniform(u: np.ndarray) -> np.ndarray:
     out = np.empty(len(u))
     for i in range(0, len(u), _SU2_BLOCK):
         out[i : i + _SU2_BLOCK] = _su2_radius_block(u[i : i + _SU2_BLOCK])
+    return out
+
+
+def su2_radial_moments(max_k: int, nodes: int = 64) -> np.ndarray:
+    """Moments m_k = int_0^pi r^k (2/pi) sin^2 r dr, k=0..max_k, by Gauss-Legendre.
+
+    Each row is summed on its own, so m_k depends only on k and ``nodes``,
+    never on ``max_k``.
+    """
+    x, w = leggauss(nodes)
+    r = 0.5 * math.pi * (x + 1.0)
+    w = 0.5 * math.pi * w
+    dens = (2.0 / math.pi) * np.sin(r) ** 2
+    powers = r[None, :] ** np.arange(max_k + 1)[:, None]
+    return (powers * (w * dens)).sum(axis=1)
+
+
+def _store_dps(K: int) -> int:
+    # enough digits to survive monomial pairing up to degree K later on
+    return 60 + 2 * K
+
+
+def _su2_recursion_dps(K: int, target_dps: int) -> int:
+    lost = 2.0 * sum(math.log10(k) for k in range(1, K + 1)) - 2 * K * math.log10(math.pi)
+    return target_dps + max(0, int(lost)) + 10
+
+
+def su2_radial_integrals_mp(max_m: int, dps: int | None = None) -> list:
+    """I_m = int_0^pi r^m sin^2 r dr for m = 0..max_m, exact to ``dps`` digits.
+
+    The integrals satisfy
+
+        I_0 = pi/2,  I_1 = pi^2/4,
+        I_m = pi^(m+1) / (2(m+1)) - m(m-1)/4 * I_{m-2},
+
+    which the test suite checks against adaptive quadrature.  The forward
+    recursion is numerically unstable (relative error grows like (K!)^2 /
+    pi^(2K)), so it is evaluated with working precision scaled to K.
+    """
+    target = dps if dps is not None else _store_dps(max_m // 2)
+    with mp.workdps(_su2_recursion_dps(max_m // 2 + 1, target)):
+        out = [mp.pi / 2, mp.pi**2 / 4]
+        for m in range(2, max_m + 1):
+            out.append(mp.pi ** (m + 1) / (2 * (m + 1)) - mp.mpf(m * (m - 1)) / 4 * out[m - 2])
+        return out[: max_m + 1]
+
+
+_DOUBLE_FACT = {0: 1.0}
+
+
+def _double_factorial(m: int) -> float:
+    # (m)!! for odd m >= -1, cached
+    if m not in _DOUBLE_FACT:
+        _DOUBLE_FACT[m] = 1.0 if m <= 0 else m * _double_factorial(m - 2)
+    return _DOUBLE_FACT[m]
+
+
+def sphere_moment_level(k: int) -> np.ndarray:
+    """Flat moment tensor of the uniform unit measure on S^2 in R^3 at level k.
+
+    Entry (i_1..i_k) is E[v_{i_1} ... v_{i_k}]: zero unless every coordinate
+    appears an even number of times, in which case it equals
+    prod_j (a_j - 1)!! / (k+1)!! for the occurrence counts a_j.
+    """
+    if k % 2 == 1:
+        return np.zeros(3**k)
+    if k == 0:
+        return np.ones(1)
+    norm = _double_factorial(k + 1)
+    table = np.zeros((k + 1, k + 1))
+    for a in range(0, k + 1, 2):
+        for b in range(0, k + 1 - a, 2):
+            c = k - a - b
+            if c % 2 == 0:
+                table[a, b] = (
+                    _double_factorial(a - 1)
+                    * _double_factorial(b - 1)
+                    * _double_factorial(c - 1)
+                    / norm
+                )
+    out = np.empty(3**k)
+    slab = 1 << 22
+    for start in range(0, 3**k, slab):
+        stop = min(start + slab, 3**k)
+        idx = np.arange(start, stop, dtype=np.int64)
+        a = np.zeros(stop - start, dtype=np.int64)
+        b = np.zeros(stop - start, dtype=np.int64)
+        for _ in range(k):
+            d = idx % 3
+            a += d == 0
+            b += d == 1
+            idx //= 3
+        out[start:stop] = table[a, b]
     return out
 
 
@@ -319,26 +414,16 @@ class SU2Group:
     def distance_from_uniforms(self, u: np.ndarray) -> np.ndarray:
         return _su2_radius_from_uniform(u[:, 0])
 
-    def pullback_density(self, v) -> float:
-        v = np.asarray(v, dtype=np.float64)
-        r = float(np.linalg.norm(v))
-        if r >= math.pi:
-            raise DomainError("outside the open ball of radius pi")
-        if r < 1e-8:
-            return 1.0 / (2.0 * math.pi**2)
-        return (math.sin(r) / r) ** 2 / (2.0 * math.pi**2)
+    def radial_moments(self, K: int, nodes: int = 64) -> np.ndarray:
+        return su2_radial_moments(2 * K, nodes)[::2]
 
-    def diameter_hint(self) -> float:
-        return math.pi
+    def exact_radial_moments(self, K: int, dps: int) -> tuple:
+        I = su2_radial_integrals_mp(2 * K, dps)
+        with mp.workdps(dps):
+            return tuple(2 / mp.pi * I[2 * k] for k in range(K + 1))
 
-    def volume(self) -> float:
-        return 2.0 * math.pi**2
-
-    def point_coords(self, g) -> list[float]:
-        return [float(c) for c in g]
-
-    def descriptor(self) -> dict:
-        return {"kind": "su2", "dim": 3}
+    def direction_moment(self, k: int) -> np.ndarray:
+        return sphere_moment_level(k)
 
 
 class ProductGroup:
@@ -398,36 +483,34 @@ class ProductGroup:
             off += d
         return np.sqrt(total)
 
-    def pullback_density(self, v) -> float:
-        v = np.asarray(v, dtype=np.float64)
-        out = 1.0
-        for f, s in zip(self.factors, self._slices):
-            out *= f.pullback_density(v[s])
-        return out
+    def radial_moments(self, K: int, nodes: int = 64) -> np.ndarray:
+        return np.array(_convolve([f.radial_moments(K, nodes) for f in self.factors], sum))
 
-    def diameter_hint(self) -> float:
-        return math.sqrt(sum(f.diameter_hint() ** 2 for f in self.factors))
+    def exact_radial_moments(self, K: int, dps: int) -> tuple:
+        with mp.workdps(dps):
+            parts = [f.exact_radial_moments(K, dps) for f in self.factors]
+            return tuple(_convolve(parts, mp.fsum))
 
-    def volume(self) -> float:
-        return math.prod(f.volume() for f in self.factors)
-
-    def point_coords(self, g) -> list[float]:
-        out: list[float] = []
-        for f, gi in zip(self.factors, g):
-            out.extend(f.point_coords(gi))
-        return out
-
-    def descriptor(self) -> dict:
-        return {
-            "kind": "product",
-            "dim": self.dim,
-            "factors": [f.descriptor() for f in self.factors],
-        }
+    def direction_moment(self, k: int) -> np.ndarray:
+        raise ValueError("quadrature is available for circle and su2 models only")
 
 
-def haar_sample(model, rng: np.random.Generator):
-    """One Haar draw as a group point (exp of one log-batch row)."""
-    return model.exp(model.sample_log_batch(rng, 1)[0])
+def _convolve(parts, total) -> list:
+    """Moments E[(x_1 + ... + x_m)^N] of a sum of independent variables.
+
+    ``parts[i][k]`` is E[x_i^k] for k = 0..K.  Factors fold in left to
+    right by E[(a + b)^N] = sum_k C(N, k) E[a^k] E[b^(N-k)], each row summed
+    by ``total``: ``sum`` for floats, ``mp.fsum`` for mpmath numbers.
+    Squared distances add over product factors, so this turns the factors'
+    E[d^2k] into the product's.
+    """
+    acc = parts[0]
+    for nxt in parts[1:]:
+        acc = [
+            total(math.comb(N, k) * acc[k] * nxt[N - k] for k in range(N + 1))
+            for N in range(len(acc))
+        ]
+    return acc
 
 
 def _flatten(spec: str):

@@ -56,13 +56,6 @@ class SampledPath:
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "points", tuple(self.points))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "group": self.model.descriptor(),
-            "times": self.times.tolist(),
-            "points": [self.model.point_coords(p) for p in self.points],
-        }
-
 
 def geodesic_signature(model, g, N: int) -> TruncatedTensorSeries:
     """Signature of the minimizing geodesic from the identity to g."""

@@ -58,7 +58,6 @@ __all__ = [
     "diameter_estimate",
     "unit_ball_volume",
     "ball_volume_from_moments",
-    "ball_volume_empirical",
     "RadialCdfEstimator",
     "small_ball_recovery",
     "recover",
@@ -315,13 +314,6 @@ class RadialCdfEstimator:
         F = float(np.searchsorted(self._radii, R, side="right")) / self.samples
         se = math.sqrt(max(F * (1.0 - F), 1e-30) / self.samples)
         return F, se
-
-
-def ball_volume_empirical(
-    model, R: float, samples: int, seed: int, scheme: str = "iid"
-) -> tuple[float, float]:
-    """Fraction of Haar samples with d(e, g) <= R, with binomial standard error."""
-    return RadialCdfEstimator(model, samples, seed, scheme=scheme)(R)
 
 
 # -- small-ball asymptotics ---------------------------------------------------

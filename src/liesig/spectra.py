@@ -5,8 +5,8 @@ moment of the squared distance d(e, g)^2 under the normalised Haar measure.
 That identity gives three independent routes to the same sequence:
 
   * contraction of an averaged tensor series (``rtr_spectrum``),
-  * direct evaluation of the radial moments -- closed form for the circle,
-    radial quadrature for SU(2), a binomial convolution for products,
+  * direct evaluation of the radial moments the group model provides
+    (``radial_moments`` and ``exact_radial_moments``),
   * Monte Carlo moments of sampled distances.
 
 Deterministic constructors also carry high-precision (mpmath) values of the
@@ -14,15 +14,6 @@ same numbers.  Those are required by the polynomial moment inversion in
 ``recovery``: pairing degree-d monomials against moments amplifies relative
 input error by roughly 10^(0.77 d), so float64 spectra are unusable there
 beyond small degrees.
-
-For SU(2) the radial integrals I_m = int_0^pi r^m sin^2 r dr satisfy
-
-    I_0 = pi/2,  I_1 = pi^2/4,
-    I_m = pi^(m+1) / (2(m+1)) - m(m-1)/4 * I_{m-2},
-
-which the test suite checks against adaptive quadrature.  The forward
-recursion is numerically unstable (relative error grows like (K!)^2 /
-pi^(2K)), so it is evaluated with working precision scaled to K.
 """
 
 from __future__ import annotations
@@ -31,10 +22,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import mpmath as mp
 
-from .average import AverageSignatureResult, radial_moments
-from .groups import CircleGroup, ProductGroup, SU2Group, map_chunks, mean_stderr, stream
+from .average import AverageSignatureResult, _is_torus
+# su2_radial_integrals_mp lives with SU2Group and is re-exported here,
+# where the benchmark's tracer looks it up
+from .groups import _store_dps, map_chunks, mean_stderr, stream, su2_radial_integrals_mp
 from .tensor import trace_level
 
 __all__ = [
@@ -68,6 +60,8 @@ class TraceSpectrum:
             raise ValueError("expected K+1 spectrum values")
         if abs(v[0] - 1.0) > 1e-12:
             raise ValueError("r_0 must equal 1")
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"first non-finite r_2k at k = {int(np.argmin(np.isfinite(v)))}")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
@@ -90,83 +84,32 @@ def rtr_spectrum(avg: AverageSignatureResult, K: int) -> TraceSpectrum:
     return TraceSpectrum(vals, K, prov)
 
 
-def _store_dps(K: int) -> int:
-    # enough digits to survive monomial pairing up to degree K later on
-    return 60 + 2 * K
-
-
-def _su2_recursion_dps(K: int, target_dps: int) -> int:
-    lost = 2.0 * sum(math.log10(k) for k in range(1, K + 1)) - 2 * K * math.log10(math.pi)
-    return target_dps + max(0, int(lost)) + 10
-
-
-def su2_radial_integrals_mp(max_m: int, dps: int | None = None) -> list:
-    """I_m = int_0^pi r^m sin^2 r dr for m = 0..max_m, exact to ``dps`` digits."""
-    target = dps if dps is not None else _store_dps(max_m // 2)
-    with mp.workdps(_su2_recursion_dps(max_m // 2 + 1, target)):
-        out = [mp.pi / 2, mp.pi**2 / 4]
-        for m in range(2, max_m + 1):
-            out.append(mp.pi ** (m + 1) / (2 * (m + 1)) - mp.mpf(m * (m - 1)) / 4 * out[m - 2])
-        return out[: max_m + 1]
-
-
-def _exact_mp_values(model, K: int):
-    """High-precision r_{2k} for circle / su2 / products thereof, or None."""
-    dps = _store_dps(K)
-    with mp.workdps(dps):
-        if isinstance(model, CircleGroup):
-            return tuple(mp.pi ** (2 * k) / (2 * k + 1) for k in range(K + 1))
-        if isinstance(model, SU2Group):
-            I = su2_radial_integrals_mp(2 * K, dps)
-            return tuple(2 / mp.pi * I[2 * k] for k in range(K + 1))
-        if isinstance(model, ProductGroup):
-            parts = [_exact_mp_values(f, K) for f in model.factors]
-            if any(p is None for p in parts):
-                return None
-            acc = parts[0]
-            for nxt in parts[1:]:
-                acc = tuple(
-                    mp.fsum(
-                        mp.mpf(math.comb(N, k)) * acc[k] * nxt[N - k]
-                        for k in range(N + 1)
-                    )
-                    for N in range(K + 1)
-                )
-            return acc
-    return None
-
-
 def spectrum_closed_form(model, K: int) -> TraceSpectrum:
     """Exact spectrum for the circle and products of circles.
 
     Circle: r_{2k} = pi^{2k} / (2k+1); products by the binomial convolution
     rtr(C_{2N}) = sum_k C(N,k) rtr(A_{2k}) rtr(B_{2N-2k}).
     """
-    circle_only = isinstance(model, CircleGroup) or (
-        isinstance(model, ProductGroup)
-        and all(isinstance(f, CircleGroup) for f in model.factors)
-    )
-    if not circle_only:
+    if not _is_torus(model):
         raise ValueError("closed form spectrum covers the circle and circle products")
-    mp_vals = _exact_mp_values(model, K)
+    mp_vals = model.exact_radial_moments(K, _store_dps(K))
     vals = np.array([float(v) for v in mp_vals])
     return TraceSpectrum(vals, K, {"method": "closed_form"}, mp_values=mp_vals)
 
 
 def spectrum_quadrature(model, K: int, nodes: int = 64) -> TraceSpectrum:
-    """Deterministic spectrum for circle, SU(2), and their products.
+    """Deterministic spectrum of any model with radial moments.
 
-    float64 values are the Gauss-Legendre radial moments of
-    ``average.radial_moments``; the attached mp values come from the exact
-    closed forms / radial recursion.
+    float64 values are the model's Gauss-Legendre ``radial_moments``; the
+    attached mp values are its ``exact_radial_moments``.
     """
-    vals = radial_moments(model, K, nodes)
+    vals = model.radial_moments(K, nodes)
     vals[0] = 1.0
     return TraceSpectrum(
         vals,
         K,
         {"method": "quadrature", "nodes": nodes},
-        mp_values=_exact_mp_values(model, K),
+        mp_values=model.exact_radial_moments(K, _store_dps(K)),
     )
 
 

@@ -14,7 +14,6 @@ so series can be shared freely across workers.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -129,15 +128,6 @@ class TruncatedTensorSeries:
 
     def to_json_dict(self) -> dict:
         return {"n": self.dim, "N": self.depth, "levels": [lv.tolist() for lv in self.levels]}
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "TruncatedTensorSeries":
-        return TruncatedTensorSeries(
-            int(d["n"]), int(d["N"]), tuple(np.asarray(lv, dtype=np.float64) for lv in d["levels"])
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 def _check_compatible(a: TruncatedTensorSeries, b: TruncatedTensorSeries) -> None:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,10 +12,8 @@ from liesig.average import (
     average_quadrature,
     mc_chunk_size,
     product_average_shuffle,
-    sphere_moment_level,
-    su2_radial_moments,
 )
-from liesig.groups import CircleGroup, SU2Group, parse_group, stream
+from liesig.groups import CircleGroup, SU2Group, parse_group, sphere_moment_level, stream, su2_radial_moments
 from liesig.tensor import TruncatedTensorSeries, shuffle_levels, trace_level
 
 PI = math.pi
@@ -30,6 +29,37 @@ def test_circle_closed_form_values():
     assert abs(avg.tensor.levels[2][0] - PI**2 / 6) < 1e-15
     assert avg.tensor.levels[3][0] == 0.0
     assert abs(avg.tensor.levels[8][0] - PI**8 / math.factorial(9)) < 1e-15
+
+
+@pytest.mark.parametrize("depth", [169, 170, 172, 250, 700])
+def test_circle_closed_form_past_float_factorials(depth):
+    # (k+1)! leaves the float range at k = 170 and pi^k at k = 621; the
+    # levels are still normal floats there, and 0.0 once they underflow
+    levels = average_closed_form(CircleGroup(), depth).tensor.levels
+    with mp.workdps(40):
+        for k in range(0, depth + 1, 2):
+            got = levels[k][0]
+            if k <= 169:  # the float formula, bit for bit
+                assert got == PI**k / math.factorial(k + 1)
+            exact = mp.pi**k / mp.factorial(k + 1)
+            assert abs(got - exact) <= mp.mpf("1e-13") * exact + mp.mpf(2) ** -1074
+    if depth >= 170:
+        assert levels[170][0] > 1e-230
+    if depth == 700:
+        assert levels[700][0] == 0.0
+
+
+@pytest.mark.parametrize("depth", [170, 172, 250])
+def test_circle_quadrature_past_float_factorials(depth):
+    q = average_quadrature(CircleGroup(), depth).tensor.levels
+    cf = average_closed_form(CircleGroup(), depth).tensor.levels
+    # 64 nodes integrate theta^k exactly only to k = 127; beyond that the
+    # levels keep the closed form's magnitude, down to where both underflow
+    for k in range(128, depth + 1, 2):
+        if cf[k][0] > 1e-300:
+            assert abs(math.log(q[k][0] / cf[k][0])) < 1.0
+        else:
+            assert 0.0 <= q[k][0] < 1e-290
 
 
 def test_closed_form_rejects_su2():

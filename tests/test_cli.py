@@ -107,6 +107,34 @@ def test_config_error_bad_values(capsys):
                  "--seed", "-1"]) == 2
 
 
+@pytest.mark.parametrize("method,depth,code", [
+    ("closed_form", 170, 0),
+    ("closed_form", 700, 0),
+    ("quadrature", 172, 0),
+    ("quadrature", 250, 0),
+    ("quadrature", 700, 2),  # E[theta^k] overflows float64
+])
+def test_circle_average_past_float_factorials(method, depth, code, tmp_path, capsys):
+    got, path = run(["average", "--group", "circle", "--method", method, "--depth", str(depth)], tmp_path)
+    assert got == code
+    if code == 0:
+        levels = json.loads(path.read_text())["result"]["levels"]
+        assert all(math.isfinite(lv[0]) for lv in levels)
+    else:
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "overflow" in err
+
+
+@pytest.mark.parametrize("group,method,K,first", [
+    ("circle", "closed_form", 700, 313),
+    ("su2", "quadrature", 400, 311),
+])
+def test_spectrum_overflow_refused(group, method, K, first, capsys):
+    code = main(["spectrum", "--group", group, "--method", method, "--half-depth", str(K)])
+    assert code == 2
+    assert f"error: first non-finite r_2k at k = {first}" in capsys.readouterr().err
+
+
 def test_output_dir_env(tmp_path, monkeypatch):
     monkeypatch.setenv("LIESIG_OUTPUT_DIR", str(tmp_path))
     code = main(["spectrum", "--group", "circle", "--method", "closed_form",

@@ -13,11 +13,9 @@ from liesig.groups import (
     CUT_TOLERANCE,
     CircleGroup,
     CutLocusError,
-    DomainError,
     ProductGroup,
     SU2Group,
     _su2_radius_from_uniform,
-    haar_sample,
     map_chunks,
     parse_group,
     stream,
@@ -163,29 +161,30 @@ def test_sampler_determinism(spec):
     a = model.sample_log_batch(stream(7), 64)
     b = model.sample_log_batch(stream(7), 64)
     assert np.array_equal(a, b)
-    g1 = haar_sample(model, stream(9))
-    g2 = haar_sample(model, stream(9))
+    g1 = model.exp(model.sample_log_batch(stream(9), 1)[0])
+    g2 = model.exp(model.sample_log_batch(stream(9), 1)[0])
     assert model.distance(model.multiply(model.inverse(g1), g2)) == 0.0
 
 
-@pytest.mark.parametrize("spec", ["circle", "su2", "torus:3", "product:su2,circle"])
+DIAMETER = {"circle": PI, "su2": PI, "torus:3": PI * math.sqrt(3), "product:su2,circle": PI * math.sqrt(2)}
+
+
+@pytest.mark.parametrize("spec", list(DIAMETER))
 def test_exp_log_round_trip(spec):
     model = parse_group(spec)
     v = model.sample_log_batch(stream(13), 10**4)
-    hint = model.diameter_hint()
     for i in range(0, 10**4, 7):
         g = model.exp(v[i])
         w = model.log(g)
         assert np.allclose(w, v[i], atol=1e-10)
         d = model.distance(g)
         assert abs(d - np.linalg.norm(v[i])) < 1e-10
-        assert d <= hint + 1e-9
+        assert d <= DIAMETER[spec] + 1e-9
 
 
 def test_product_log_splits():
     model = parse_group("product:circle,su2")
-    rng = stream(17)
-    g = haar_sample(model, rng)
+    g = model.exp(model.sample_log_batch(stream(17), 1)[0])
     v = model.log(g)
     assert np.allclose(v[:1], model.factors[0].log(g[0]))
     assert np.allclose(v[1:], model.factors[1].log(g[1]))
@@ -252,42 +251,19 @@ def test_su2_radius_batch_invariant():
     assert SU2Group().distance_from_uniforms(cols).tobytes() == full.tobytes()
 
 
-# -- pullback densities -----------------------------------------------------------
+# -- radial-law protocol ------------------------------------------------------------
 
 
-def test_pullback_density_values():
-    c = CircleGroup()
-    assert c.pullback_density(np.array([1.0])) == 1.0 / (2 * PI)
-    with pytest.raises(DomainError):
-        c.pullback_density(np.array([PI]))
-    s = SU2Group()
-    assert abs(s.pullback_density(np.array([PI / 2, 0, 0])) - 2.0 / PI**4) < 1e-15
-    assert abs(s.pullback_density(np.zeros(3)) - 1.0 / (2 * PI**2)) < 1e-15
-    with pytest.raises(DomainError):
-        s.pullback_density(np.array([PI, 0.0, 0.0]))
-    p = parse_group("product:circle,su2")
-    val = p.pullback_density(np.array([0.5, PI / 2, 0, 0]))
-    assert abs(val - (1 / (2 * PI)) * (2 / PI**4)) < 1e-18
+@pytest.mark.parametrize("model", [CircleGroup(), SU2Group()])
+def test_direction_moments(model):
+    n = model.dim
+    assert np.array_equal(model.direction_moment(0), np.ones(1))
+    assert not np.any(model.direction_moment(3))
+    # v/|v| is a unit vector: the level-2 tensor has trace 1 and is isotropic
+    assert np.allclose(model.direction_moment(2).reshape(n, n), np.eye(n) / n, atol=1e-15)
 
 
-def test_pullback_density_normalisation():
-    # radial reduction of the su2 density evaluated through the public op
-    s = SU2Group()
-
-    def radial(r):
-        if r == 0.0:
-            return 0.0
-        w = s.pullback_density(np.array([r, 0.0, 0.0]))
-        return w * 4.0 * PI * r**2
-
-    total, _ = quad(radial, 0.0, PI, epsabs=1e-10, limit=200)
-    assert abs(total - 1.0) < 1e-8
-    c = CircleGroup()
-    total_c, _ = quad(lambda t: c.pullback_density(np.array([t])), -PI + 1e-12, PI - 1e-12)
-    assert abs(total_c - 1.0) < 1e-8
-
-
-# -- parsing and descriptors -------------------------------------------------------
+# -- parsing -------------------------------------------------------------------------
 
 
 def test_parse_group_shapes():
@@ -302,13 +278,6 @@ def test_parse_group_shapes():
         parse_group("so3")
     with pytest.raises(ValueError):
         parse_group("torus:0")
-
-
-def test_descriptors():
-    assert parse_group("circle").descriptor() == {"kind": "circle", "dim": 1}
-    assert parse_group("su2").descriptor() == {"kind": "su2", "dim": 3}
-    d = parse_group("torus:2").descriptor()
-    assert d["kind"] == "product" and d["dim"] == 2 and len(d["factors"]) == 2
 
 
 def test_map_chunks_order_and_worker_cap():

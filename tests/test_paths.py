@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from liesig.groups import CircleGroup, SU2Group, parse_group, stream
+from liesig.groups import CircleGroup, SU2Group
 from liesig.paths import (
     MeshError,
     SampledPath,
@@ -155,15 +155,3 @@ def test_signature_of_curve_gives_up():
 
     with pytest.raises(MeshError):
         signature_of_curve(model, hostile, 3, chords=2, max_chords=16)
-
-
-def test_path_json():
-    model = parse_group("product:circle,su2")
-    rng = stream(5)
-    pts = tuple(
-        model.exp(model.sample_log_batch(rng, 1)[0] * 0.3) for _ in range(3)
-    )
-    path = SampledPath(model, np.array([0.0, 0.4, 1.0]), pts)
-    d = path.to_json_dict()
-    assert d["group"]["dim"] == 4
-    assert len(d["points"]) == 3 and len(d["points"][0]) == 5

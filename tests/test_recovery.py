@@ -10,7 +10,6 @@ from liesig.recovery import (
     AmbiguousDimension,
     FitFailure,
     RadialCdfEstimator,
-    ball_volume_empirical,
     ball_volume_from_moments,
     diameter_estimate,
     lk_norm,
@@ -228,18 +227,18 @@ def test_moment_cdf_degree_check():
 
 
 def test_ball_volume_empirical_circle():
-    F, se = ball_volume_empirical(CircleGroup(), PI / 2, 10**6, seed=1)
+    F, se = RadialCdfEstimator(CircleGroup(), 10**6, seed=1, scheme="iid")(PI / 2)
     assert abs(F - 0.5) <= 4 * se
     assert 4e-4 < se < 6e-4
 
 
 def test_ball_volume_empirical_su2():
-    F, se = ball_volume_empirical(SU2Group(), PI / 2, 10**5, seed=2)
+    F, se = RadialCdfEstimator(SU2Group(), 10**5, seed=2, scheme="iid")(PI / 2)
     assert abs(F - 0.5) <= 4 * se
 
 
 def test_ball_volume_full_radius():
-    F, _ = ball_volume_empirical(CircleGroup(), PI, 10**4, seed=3)
+    F, _ = RadialCdfEstimator(CircleGroup(), 10**4, seed=3, scheme="iid")(PI)
     assert F == 1.0
 
 

@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from liesig.average import average_monte_carlo, average_quadrature, mc_chunk_size
-from liesig.groups import CircleGroup, SU2Group, parse_group
+from liesig.groups import CircleGroup, SU2Group, parse_group, su2_radial_integrals_mp
 from liesig.spectra import (
     TraceSpectrum,
     rtr_spectrum,
     spectrum_closed_form,
     spectrum_monte_carlo,
     spectrum_quadrature,
-    su2_radial_integrals_mp,
 )
 
 PI = math.pi
@@ -45,6 +44,12 @@ def test_r0_validation():
         TraceSpectrum(np.array([2.0, 1.0]), 1)
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_values_refused(bad):
+    with pytest.raises(ValueError, match="non-finite r_2k at k = 2"):
+        TraceSpectrum(np.array([1.0, 3.0, bad, bad]), 3)
+
+
 def test_product_spectrum_convolution():
     t2 = spectrum_closed_form(parse_group("torus:2"), 5)
     c = spectrum_closed_form(CircleGroup(), 5).values
@@ -73,6 +78,7 @@ def test_mp_values_match_floats():
         spectrum_closed_form(CircleGroup(), 12),
         spectrum_quadrature(SU2Group(), 12),
         spectrum_quadrature(parse_group("torus:2"), 8),
+        spectrum_quadrature(parse_group("product:su2,circle"), 8),
     ):
         assert spec.mp_values is not None
         for v, m in zip(spec.values, spec.mp_values):

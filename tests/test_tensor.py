@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -337,18 +336,6 @@ def test_shuffle_levels_counts_interleavings():
     assert np.sum(out != 0) == 1
     with pytest.raises(ValueError):
         shuffle_levels(x, 1, y, 1, 2)
-
-
-# -- serialization -------------------------------------------------------------
-
-
-def test_json_round_trip():
-    rng = np.random.default_rng(11)
-    s = random_series(rng, 2, 3)
-    d = json.loads(s.to_json())
-    assert set(d) == {"n", "N", "levels"}
-    back = TruncatedTensorSeries.from_json_dict(d)
-    assert back.allclose(s, atol=0.0)
 
 
 def test_shuffle_dim_one_counts_multiplicity():
