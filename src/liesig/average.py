@@ -10,7 +10,11 @@ computed four ways:
     (Gauss-Legendre) and M_k its ``direction_moment(k)``, the moment
     tensor of v/|v| (for SU(2) the uniform measure on S^2),
   * Monte Carlo -- chunked, seeded, thread-count independent, with
-    per-coefficient standard errors,
+    per-coefficient standard errors.  Level k is the symmetric tensor
+    E[v^{(x)k}]/k!, so each chunk sums the C(n+k-1, k) monomials
+    v^alpha/k! and their squares instead of the n^k words; the means and
+    standard errors expand to words once, at the end
+    (``tensor.monomial_levels``),
   * the product rule -- the level-N average of a Riemannian product is
     sum_k [k!(N-k)!/N!] (A_k shuffle B_{N-k}), each shuffle taken on the
     factors' own blocks and written into the product's level block by block.
@@ -30,7 +34,7 @@ import numpy as np
 # sphere_moment_level and su2_radial_moments live with SU2Group and are
 # re-exported here, where the benchmark's tracer looks them up
 from .groups import CircleGroup, map_chunks, mean_stderr, sphere_moment_level, stream, su2_radial_moments
-from .tensor import TruncatedTensorSeries, _check_budget, _interleavings
+from .tensor import TruncatedTensorSeries, _check_budget, _interleavings, monomial_levels
 
 __all__ = [
     "AverageSignatureResult",
@@ -148,32 +152,38 @@ def average_monte_carlo(
     """
     n = model.dim
     _check_budget(n, N)
+    levels = monomial_levels(n, N)
 
     def chunk_sums(c, _start, size):
-        v = model.sample_log_batch(stream(seed, c), size)
+        v = np.ascontiguousarray(model.sample_log_batch(stream(seed, c), size).T)
         sums = [np.full(1, float(size))]
         sqs = [np.full(1, float(size))]
-        cur = np.ones((size, 1))
-        for k in range(1, N + 1):
-            cur = (cur[:, :, None] * v[:, None, :]).reshape(size, -1) / k
-            sums.append(cur.sum(axis=0))
-            sqs.append(np.einsum("bi,bi->i", cur, cur))
+        cur = np.ones((1, size))
+        for k, lvl in enumerate(levels[1:], 1):
+            cur = cur[lvl.parent] * v[lvl.last] / k
+            sums.append(cur.sum(axis=1))
+            sqs.append(np.einsum("mb,mb->m", cur, cur))
         return sums, sqs
 
-    tot = [np.zeros(n**k) for k in range(N + 1)]
-    tsq = [np.zeros(n**k) for k in range(N + 1)]
+    tot = [np.zeros(len(lvl.parent)) for lvl in levels]
+    tsq = [np.zeros(len(lvl.parent)) for lvl in levels]
     for sums, sqs in map_chunks(chunk_sums, samples, mc_chunk_size(n, N), threads):
         for k in range(N + 1):
             tot[k] += sums[k]
             tsq[k] += sqs[k]
-    mean, se = zip(*(mean_stderr(t, q, samples) for t, q in zip(tot, tsq)))
+    # a word's per-sample value is its monomial's, so its mean and SE are too
+    mean, se = [], []
+    for t, q, lvl in zip(tot, tsq, levels):
+        m, s = mean_stderr(t, q, samples)
+        mean.append(m[lvl.word_index])
+        se.append(s[lvl.word_index])
     return AverageSignatureResult(
-        TruncatedTensorSeries(n, N, mean),
+        TruncatedTensorSeries(n, N, tuple(mean)),
         "monte_carlo",
         samples=samples,
         seed=seed,
         stderr_per_level=np.array([math.sqrt(float(s @ s)) for s in se]),
-        stderr_coeffs=se,
+        stderr_coeffs=tuple(se),
     )
 
 

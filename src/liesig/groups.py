@@ -41,6 +41,8 @@ import mpmath as mp
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .tensor import monomial_levels
+
 __all__ = [
     "CutLocusError",
     "CUT_TOLERANCE",
@@ -304,12 +306,11 @@ def sphere_moment_level(k: int) -> np.ndarray:
 
     Entry (i_1..i_k) is E[v_{i_1} ... v_{i_k}]: zero unless every coordinate
     appears an even number of times, in which case it equals
-    prod_j (a_j - 1)!! / (k+1)!! for the occurrence counts a_j.
+    prod_j (a_j - 1)!! / (k+1)!! for the occurrence counts a_j.  The value
+    is taken once per monomial and expanded to the 3^k words.
     """
     if k % 2 == 1:
         return np.zeros(3**k)
-    if k == 0:
-        return np.ones(1)
     norm = _double_factorial(k + 1)
     table = np.zeros((k + 1, k + 1))
     for a in range(0, k + 1, 2):
@@ -322,20 +323,13 @@ def sphere_moment_level(k: int) -> np.ndarray:
                     * _double_factorial(c - 1)
                     / norm
                 )
-    out = np.empty(3**k)
-    slab = 1 << 22
-    for start in range(0, 3**k, slab):
-        stop = min(start + slab, 3**k)
-        idx = np.arange(start, stop, dtype=np.int64)
-        a = np.zeros(stop - start, dtype=np.int64)
-        b = np.zeros(stop - start, dtype=np.int64)
-        for _ in range(k):
-            d = idx % 3
-            a += d == 0
-            b += d == 1
-            idx //= 3
-        out[start:stop] = table[a, b]
-    return out
+    # occurrence counts of letters 0 and 1 in each monomial, a level at a time
+    a = b = np.zeros(1, dtype=np.intp)
+    levels = monomial_levels(3, k)
+    for lvl in levels[1:]:
+        a = a[lvl.parent] + (lvl.last == 0)
+        b = b[lvl.parent] + (lvl.last == 1)
+    return table[a, b][levels[k].word_index]
 
 
 class SU2Group:

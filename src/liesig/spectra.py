@@ -60,8 +60,9 @@ class TraceSpectrum:
             raise ValueError("expected K+1 spectrum values")
         if abs(v[0] - 1.0) > 1e-12:
             raise ValueError("r_0 must equal 1")
-        if not np.all(np.isfinite(v)):
-            raise ValueError(f"first non-finite r_2k at k = {int(np.argmin(np.isfinite(v)))}")
+        _require_finite(v, "r_2k")
+        if self.stderr is not None:
+            _require_finite(self.stderr, "stderr")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
@@ -71,6 +72,12 @@ class TraceSpectrum:
         if self.stderr is not None:
             out["stderr"] = self.stderr.tolist()
         return out
+
+
+def _require_finite(values: np.ndarray, name: str) -> None:
+    finite = np.isfinite(values)
+    if not np.all(finite):
+        raise ValueError(f"first non-finite {name} at k = {int(np.argmin(finite))}")
 
 
 def rtr_spectrum(avg: AverageSignatureResult, K: int) -> TraceSpectrum:
@@ -101,10 +108,14 @@ def spectrum_quadrature(model, K: int, nodes: int = 64) -> TraceSpectrum:
     """Deterministic spectrum of any model with radial moments.
 
     float64 values are the model's Gauss-Legendre ``radial_moments``; the
-    attached mp values are its ``exact_radial_moments``.
+    attached mp values are its ``exact_radial_moments``, built only once
+    the float values are known to be finite.
     """
-    vals = model.radial_moments(K, nodes)
+    # an overflowing power is refused below, so numpy need not warn of it
+    with np.errstate(over="ignore"):
+        vals = model.radial_moments(K, nodes)
     vals[0] = 1.0
+    _require_finite(vals, "r_2k")
     return TraceSpectrum(
         vals,
         K,
@@ -143,6 +154,9 @@ def spectrum_monte_carlo(
     for s, q in map_chunks(chunk_sums, samples, chunk, threads):
         tot += s
         tsq += q
-    vals, se = mean_stderr(tot, tsq, samples)
+    # sums of d^4k overflow first at high k; TraceSpectrum refuses the
+    # non-finite stderr that follows, so numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals, se = mean_stderr(tot, tsq, samples)
     prov = {"method": "monte_carlo", "samples": samples, "seed": seed}
     return TraceSpectrum(vals, K, prov, stderr=se)

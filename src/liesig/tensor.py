@@ -33,6 +33,8 @@ __all__ = [
     "hilbert_distance",
     "trace_level",
     "series_size",
+    "monomial_levels",
+    "MonomialLevel",
     "COEFF_BUDGET",
 ]
 
@@ -128,6 +130,51 @@ class TruncatedTensorSeries:
 
     def to_json_dict(self) -> dict:
         return {"n": self.dim, "N": self.depth, "levels": [lv.tolist() for lv in self.levels]}
+
+
+@dataclass(frozen=True)
+class MonomialLevel:
+    """The C(n+k-1, k) monomials of level k and the n^k words they expand to.
+
+    Monomials are the sorted index tuples i_1 <= ... <= i_k in lexicographic
+    order.  Monomial m is ``parent[m]`` at level k-1 followed by the letter
+    ``last[m]``, so a value that multiplies over letters is built a level at
+    a time as ``value[parent] * x[last]``.  ``word_index[w]`` is the monomial
+    of word w's sorted letters (words in row-major order), so a symmetric
+    level expands to dense words as ``values[word_index]``.
+    """
+
+    parent: np.ndarray
+    last: np.ndarray
+    word_index: np.ndarray
+
+
+def monomial_levels(n: int, N: int) -> list[MonomialLevel]:
+    """Monomials and word expansions of levels 0..N over R^n.
+
+    The children p + (j,) of a level-(k-1) monomial p take the letters j from
+    last[p] up and are numbered consecutively from start[p].  Adding any
+    letter j to p gives the transition table T[p, j]: p's own child when
+    j >= last[p]; otherwise the child, by letter last[p], of r = T_{k-1}[q, j]
+    with q the parent of p.  Then word_index_k = T_k[word_index_{k-1}],
+    raveled: one int per word and no (n^k, k) array of letters.
+    """
+    letters = np.arange(n)
+    parent = last = word_index = np.zeros(1, dtype=np.intp)
+    # every letter extends the empty monomial, so the level-0 table is unread
+    table = np.zeros((1, n), dtype=np.intp)
+    out = [MonomialLevel(parent, last, word_index)]
+    for _ in range(N):
+        counts = n - last
+        start = np.cumsum(counts) - counts
+        p = np.arange(len(last))[:, None]
+        r = np.where(letters >= last[:, None], p, table[parent[:, None], letters])
+        table = start[r] + np.maximum(letters, last[:, None]) - last[r]
+        parent = np.repeat(p.ravel(), counts)
+        last = np.arange(counts.sum()) - start[parent] + last[parent]
+        word_index = table[word_index].ravel()
+        out.append(MonomialLevel(parent, last, word_index))
+    return out
 
 
 def _check_compatible(a: TruncatedTensorSeries, b: TruncatedTensorSeries) -> None:

@@ -13,7 +13,17 @@ from liesig.average import (
     mc_chunk_size,
     product_average_shuffle,
 )
-from liesig.groups import CircleGroup, SU2Group, parse_group, sphere_moment_level, stream, su2_radial_moments
+from liesig.groups import (
+    CircleGroup,
+    SU2Group,
+    _double_factorial,
+    map_chunks,
+    mean_stderr,
+    parse_group,
+    sphere_moment_level,
+    stream,
+    su2_radial_moments,
+)
 from liesig.tensor import TruncatedTensorSeries, shuffle_levels, trace_level
 
 PI = math.pi
@@ -134,6 +144,36 @@ def test_sphere_moment_level_against_mc():
     assert not np.any(sphere_moment_level(3))
 
 
+def _sphere_moment_level_by_digits(k):
+    # reference only: the per-word digit loop sphere_moment_level replaced
+    if k % 2 == 1:
+        return np.zeros(3**k)
+    norm = _double_factorial(k + 1)
+    table = np.zeros((k + 1, k + 1))
+    for a in range(0, k + 1, 2):
+        for b in range(0, k + 1 - a, 2):
+            c = k - a - b
+            if c % 2 == 0:
+                table[a, b] = (
+                    _double_factorial(a - 1) * _double_factorial(b - 1) * _double_factorial(c - 1) / norm
+                )
+    idx = np.arange(3**k)
+    a = np.zeros(3**k, dtype=np.int64)
+    b = np.zeros(3**k, dtype=np.int64)
+    for _ in range(k):
+        d = idx % 3
+        a += d == 0
+        b += d == 1
+        idx //= 3
+    return table[a, b]
+
+
+def test_sphere_moment_level_matches_digit_loop():
+    for k in range(11):
+        ref = _sphere_moment_level_by_digits(k)
+        assert sphere_moment_level(k).tobytes() == ref.tobytes()
+
+
 # -- Monte Carlo -----------------------------------------------------------------
 
 
@@ -167,6 +207,58 @@ def test_mc_thread_counts_agree_bitwise():
     for la, lb in zip(a.tensor.levels, b.tensor.levels):
         assert np.array_equal(la, lb)
     assert np.array_equal(a.stderr_per_level, b.stderr_per_level)
+
+
+def _dense_monte_carlo(model, N, samples, seed):
+    """Reference only: the per-word accumulator average_monte_carlo replaced.
+
+    Same streams and chunks; every one of the n^k words of level k is
+    accumulated on its own.
+    """
+    n = model.dim
+
+    def chunk_sums(c, _start, size):
+        v = model.sample_log_batch(stream(seed, c), size)
+        sums = [np.full(1, float(size))]
+        sqs = [np.full(1, float(size))]
+        cur = np.ones((size, 1))
+        for k in range(1, N + 1):
+            cur = (cur[:, :, None] * v[:, None, :]).reshape(size, -1) / k
+            sums.append(cur.sum(axis=0))
+            sqs.append(np.einsum("bi,bi->i", cur, cur))
+        return sums, sqs
+
+    tot = [np.zeros(n**k) for k in range(N + 1)]
+    tsq = [np.zeros(n**k) for k in range(N + 1)]
+    for sums, sqs in map_chunks(chunk_sums, samples, mc_chunk_size(n, N), 1):
+        for k in range(N + 1):
+            tot[k] += sums[k]
+            tsq[k] += sqs[k]
+    return [mean_stderr(t, q, samples) for t, q in zip(tot, tsq)]
+
+
+def _assert_symmetric(level, n, k):
+    # words that are permutations of one another carry the same bits
+    words = np.sort(np.indices((n,) * k).reshape(k, -1).T, axis=1)
+    _, first, inverse = np.unique(words, axis=0, return_index=True, return_inverse=True)
+    assert level.tobytes() == level[first[inverse.ravel()]].tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["circle", "su2", "torus:2", "product:circle,su2"]),
+    st.integers(0, 6),
+    st.integers(1, 5000),
+    st.integers(0, 2**32 - 1),
+)
+def test_mc_matches_dense_oracle(group, N, samples, seed):
+    model = parse_group(group)
+    got = average_monte_carlo(model, N, samples, seed)
+    for k, (mean, se) in enumerate(_dense_monte_carlo(model, N, samples, seed)):
+        for new, ref in ((got.tensor.levels[k], mean), (got.stderr_coeffs[k], se)):
+            assert np.all(np.abs(new - ref) <= 1e-12 * np.abs(ref).max())
+            if k:
+                _assert_symmetric(new, model.dim, k)
 
 
 def test_mc_chunk_size_rule():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import liesig.cli as cli
 from liesig.cli import main
+from liesig.groups import SU2Group
 from liesig.recovery import RecoveryReport
 
 PI = math.pi
@@ -133,6 +134,31 @@ def test_spectrum_overflow_refused(group, method, K, first, capsys):
     code = main(["spectrum", "--group", group, "--method", method, "--half-depth", str(K)])
     assert code == 2
     assert f"error: first non-finite r_2k at k = {first}" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_spectrum_mc_stderr_overflow_refused(fmt, tmp_path, capsys):
+    # every r_2k is finite, but the sum of d^4k overflows from k = 162 and
+    # its standard error would be NaN
+    code, path = run(["spectrum", "--group", "su2", "--method", "monte_carlo",
+                      "--half-depth", "200", "--samples", "1000", "--format", fmt], tmp_path)
+    assert code == 2
+    out = capsys.readouterr()
+    assert "error: first non-finite stderr at k = 162" in out.err
+    assert "NaN" not in out.out
+    assert not path.exists() or "NaN" not in path.read_text()
+
+
+@pytest.mark.filterwarnings("error")
+def test_spectrum_quadrature_refuses_before_exact_moments(monkeypatch, capsys):
+    def unreachable(self, K, dps):
+        raise AssertionError("exact moments built for an overflowing spectrum")
+
+    monkeypatch.setattr(SU2Group, "exact_radial_moments", unreachable)
+    code = main(["spectrum", "--group", "su2", "--method", "quadrature", "--half-depth", "400"])
+    assert code == 2
+    assert "error: first non-finite r_2k at k = 311" in capsys.readouterr().err
 
 
 def test_output_dir_env(tmp_path, monkeypatch):

@@ -48,6 +48,8 @@ def test_r0_validation():
 def test_non_finite_values_refused(bad):
     with pytest.raises(ValueError, match="non-finite r_2k at k = 2"):
         TraceSpectrum(np.array([1.0, 3.0, bad, bad]), 3)
+    with pytest.raises(ValueError, match="non-finite stderr at k = 1"):
+        TraceSpectrum(np.array([1.0, 3.0, 9.0]), 2, stderr=np.array([0.0, bad, 0.1]))
 
 
 def test_product_spectrum_convolution():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from liesig.tensor import (
     concat_product,
     exp_tensor,
     hilbert_norm,
+    monomial_levels,
     pair,
     shuffle_levels,
     shuffle_product,
@@ -49,6 +51,19 @@ def test_unit_series_identity_values():
 def test_unit_series_rejects_zero_dim():
     with pytest.raises(ValueError):
         unit_series(0, 3)
+
+
+@pytest.mark.parametrize("n,N", [(1, 5), (2, 6), (3, 5), (5, 3)])
+def test_monomial_levels_against_enumeration(n, N):
+    for k, lvl in enumerate(monomial_levels(n, N)):
+        monos = list(itertools.combinations_with_replacement(range(n), k))
+        assert len(lvl.parent) == len(lvl.last) == len(monos) == math.comb(n + k - 1, k)
+        if k:
+            parents = list(itertools.combinations_with_replacement(range(n), k - 1))
+            assert [parents[p] + (j,) for p, j in zip(lvl.parent, lvl.last)] == monos
+        rank = {m: i for i, m in enumerate(monos)}
+        words = itertools.product(range(n), repeat=k)
+        assert lvl.word_index.tolist() == [rank[tuple(sorted(w))] for w in words]
 
 
 def test_storage_shape_invariants():
