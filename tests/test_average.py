@@ -3,7 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from liesig.average import (
     AverageSignatureResult,
@@ -251,6 +251,10 @@ def _assert_symmetric(level, n, k):
     st.integers(1, 5000),
     st.integers(0, 2**32 - 1),
 )
+# the strategies favour small draws; pin the largest sizes in too
+@example("product:circle,su2", 6, 5000, 7)
+@example("su2", 6, 4999, 11)
+@example("torus:2", 6, 5000, 3)
 def test_mc_matches_dense_oracle(group, N, samples, seed):
     model = parse_group(group)
     got = average_monte_carlo(model, N, samples, seed)
