@@ -2,18 +2,19 @@
 """Benchmark a change against a base revision in alternating pairs.
 
 Usage:
-    python3 scripts/bench_pairs.py --base REV --out BENCH_<n>.json \\
-        [--workload average-dense ...] [--pairs 3] [--seed 1] [--seconds 30]
+    python3 scripts/bench_pairs.py --base REV --out BENCH_<n>.json
 
-Each pair runs ``perfbench/run.py --workload W --seed S --trace 0`` once in
-a checkout of the base revision and once in this working tree, with the
-same seed; the side that runs first alternates from pair to pair, and pair
-i uses seed S + i.  The base checkout is the committed tree of REV,
-exported with ``git archive`` into a temporary directory, so it comes from
-the local repository alone and leaves the repository itself untouched.
+For every workload, each of PAIRS pairs runs ``perfbench/run.py --workload W
+--seed S --trace 0`` once in a checkout of the base revision and once in
+this working tree, with the same seed and perfbench's own run length; the
+side that runs first alternates from pair to pair, and pair i uses seed
+SEED + i.  Ten pairs are the fewest that can show a gain on nine of ten.
+The base checkout is the committed tree of REV, exported with ``git
+archive`` into a temporary directory, so it comes from the local repository
+alone and leaves the repository itself untouched.
 
 The output file records the machine, its processor count, the thread
-counts each workload runs with, every run's end-to-end metrics, and per
+counts and run length of each workload, every run's end-to-end metrics, and per
 metric and side the median and quartiles (IQR = q3 - q1), plus how many
 pairs the change won (ties count for neither side).
 """
@@ -34,6 +35,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ["recover-su2", "average-dense", "moments-mp"]
+PAIRS = 10
+SEED = 101
 
 
 def _git(*args: str) -> bytes:
@@ -48,9 +51,9 @@ def export_tree(rev: str, dest: Path) -> str:
     return sha
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
                           text=True)
     if proc.returncode != 0:
@@ -63,6 +66,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
         "attempted": result["attempted"],
         "failed": result["failed"],
         "threads": provenance["inputs"].get("threads"),
+        "seconds": provenance["seconds"],
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
     }
 
@@ -92,14 +96,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", required=True, help="base revision (the parent commit)")
     ap.add_argument("--out", required=True, type=Path, help="JSON file to write")
-    ap.add_argument("--workload", action="append", choices=WORKLOADS,
-                    help="workload to run (repeatable; default: all)")
-    ap.add_argument("--pairs", type=int, default=3)
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=int, default=30)
     args = ap.parse_args(argv)
-    if args.pairs < 2:
-        ap.error("--pairs must be >= 2 for quartiles")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
@@ -110,7 +107,6 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
         "affinity": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
-        "seconds": args.seconds,
         # thread pools of numpy's BLAS and OpenMP, as the environment sets them
         "thread_env": {k: os.environ.get(k) for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                                                       "MKL_NUM_THREADS")},
@@ -121,20 +117,21 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
         base = Path(tmp)
         report["base"] = export_tree(args.base, base)
-        for workload in args.workload or WORKLOADS:
+        for workload in WORKLOADS:
             runs = {"parent": [], "change": []}
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 order = [("parent", base), ("change", ROOT)]
                 for side, checkout in order if i % 2 == 0 else order[::-1]:
-                    res = run_once(checkout, workload, args.seed + i, args.seconds)
+                    res = run_once(checkout, workload, SEED + i)
                     runs[side].append(res)
                     print(f"{workload} pair {i} {side}: "
                           + ", ".join(f"{k}={v:.4g}" for k, v in res["metrics"].items()),
                           file=sys.stderr)
             report["workloads"][workload] = {
-                "pairs": args.pairs,
-                "seeds": [args.seed + i for i in range(args.pairs)],
+                "pairs": PAIRS,
+                "seeds": [SEED + i for i in range(PAIRS)],
                 "threads": runs["change"][0]["threads"],
+                "seconds": runs["change"][0]["seconds"],
                 "metrics": compare(runs["parent"], runs["change"], better),
                 "runs": runs,
             }

@@ -14,7 +14,7 @@ computed four ways:
     E[v^{(x)k}]/k!, so each chunk sums the C(n+k-1, k) monomials
     v^alpha/k! and their squares instead of the n^k words; the means and
     standard errors expand to words once, at the end
-    (``tensor.monomial_levels``),
+    (``tensor.expand_words``),
   * the product rule -- the level-N average of a Riemannian product is
     sum_k [k!(N-k)!/N!] (A_k shuffle B_{N-k}), each shuffle taken on the
     factors' own blocks and written into the product's level block by block.
@@ -34,7 +34,7 @@ import numpy as np
 # sphere_moment_level and su2_radial_moments live with SU2Group and are
 # re-exported here, where the benchmark's tracer looks them up
 from .groups import CircleGroup, map_chunks, mean_stderr, sphere_moment_level, stream, su2_radial_moments
-from .tensor import TruncatedTensorSeries, _check_budget, _interleavings, monomial_levels
+from .tensor import TruncatedTensorSeries, _check_budget, _interleavings, expand_words, monomial_levels
 
 __all__ = [
     "AverageSignatureResult",
@@ -127,7 +127,11 @@ def average_quadrature(model, N: int, nodes: int = 64) -> AverageSignatureResult
         if k % 2 == 1:
             levels.append(np.zeros(n**k))
         else:
-            levels.append(_power_over_factorial(m[k // 2], 1, k) * model.direction_moment(k))
+            # scaled in place: the moment tensor is a fresh array, and a deep
+            # level (344 MB for su2 at depth 16) is then never held twice
+            level = model.direction_moment(k)
+            level *= _power_over_factorial(m[k // 2], 1, k)
+            levels.append(level)
     return AverageSignatureResult(TruncatedTensorSeries(n, N, tuple(levels)), "quadrature")
 
 
@@ -173,10 +177,10 @@ def average_monte_carlo(
             tsq[k] += sqs[k]
     # a word's per-sample value is its monomial's, so its mean and SE are too
     mean, se = [], []
-    for t, q, lvl in zip(tot, tsq, levels):
+    for k, (t, q) in enumerate(zip(tot, tsq)):
         m, s = mean_stderr(t, q, samples)
-        mean.append(m[lvl.word_index])
-        se.append(s[lvl.word_index])
+        mean.append(expand_words(levels, k, m))
+        se.append(expand_words(levels, k, s))
     return AverageSignatureResult(
         TruncatedTensorSeries(n, N, tuple(mean)),
         "monte_carlo",

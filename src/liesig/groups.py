@@ -41,7 +41,7 @@ import mpmath as mp
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .tensor import monomial_levels
+from .tensor import expand_words, monomial_levels
 
 __all__ = [
     "CutLocusError",
@@ -329,7 +329,7 @@ def sphere_moment_level(k: int) -> np.ndarray:
     for lvl in levels[1:]:
         a = a[lvl.parent] + (lvl.last == 0)
         b = b[lvl.parent] + (lvl.last == 1)
-    return table[a, b][levels[k].word_index]
+    return expand_words(levels, k, table[a, b])
 
 
 class SU2Group:

@@ -34,6 +34,7 @@ __all__ = [
     "trace_level",
     "series_size",
     "monomial_levels",
+    "expand_words",
     "MonomialLevel",
     "COEFF_BUDGET",
 ]
@@ -134,36 +135,35 @@ class TruncatedTensorSeries:
 
 @dataclass(frozen=True)
 class MonomialLevel:
-    """The C(n+k-1, k) monomials of level k and the n^k words they expand to.
+    """The C(n+k-1, k) monomials of level k and how words map onto them.
 
     Monomials are the sorted index tuples i_1 <= ... <= i_k in lexicographic
     order.  Monomial m is ``parent[m]`` at level k-1 followed by the letter
     ``last[m]``, so a value that multiplies over letters is built a level at
-    a time as ``value[parent] * x[last]``.  ``word_index[w]`` is the monomial
-    of word w's sorted letters (words in row-major order), so a symmetric
-    level expands to dense words as ``values[word_index]``.
+    a time as ``value[parent] * x[last]``.  ``table[p, j]`` is the monomial
+    of the level-(k-1) monomial p with the letter j added, so the monomial
+    of every word follows a level at a time (``expand_words``).
     """
 
     parent: np.ndarray
     last: np.ndarray
-    word_index: np.ndarray
+    table: np.ndarray
 
 
 def monomial_levels(n: int, N: int) -> list[MonomialLevel]:
-    """Monomials and word expansions of levels 0..N over R^n.
+    """Monomials and transition tables of levels 0..N over R^n.
 
     The children p + (j,) of a level-(k-1) monomial p take the letters j from
     last[p] up and are numbered consecutively from start[p].  Adding any
-    letter j to p gives the transition table T[p, j]: p's own child when
-    j >= last[p]; otherwise the child, by letter last[p], of r = T_{k-1}[q, j]
-    with q the parent of p.  Then word_index_k = T_k[word_index_{k-1}],
-    raveled: one int per word and no (n^k, k) array of letters.
+    letter j to p gives T[p, j]: p's own child when j >= last[p]; otherwise
+    the child, by letter last[p], of r = T_{k-1}[q, j] with q the parent of
+    p.
     """
     letters = np.arange(n)
-    parent = last = word_index = np.zeros(1, dtype=np.intp)
+    parent = last = np.zeros(1, dtype=np.intp)
     # every letter extends the empty monomial, so the level-0 table is unread
     table = np.zeros((1, n), dtype=np.intp)
-    out = [MonomialLevel(parent, last, word_index)]
+    out = [MonomialLevel(parent, last, table)]
     for _ in range(N):
         counts = n - last
         start = np.cumsum(counts) - counts
@@ -172,9 +172,25 @@ def monomial_levels(n: int, N: int) -> list[MonomialLevel]:
         table = start[r] + np.maximum(letters, last[:, None]) - last[r]
         parent = np.repeat(p.ravel(), counts)
         last = np.arange(counts.sum()) - start[parent] + last[parent]
-        word_index = table[word_index].ravel()
-        out.append(MonomialLevel(parent, last, word_index))
+        out.append(MonomialLevel(parent, last, table))
     return out
+
+
+def expand_words(levels: list[MonomialLevel], k: int, values: np.ndarray) -> np.ndarray:
+    """Expand level k of a symmetric series from monomials to its n^k words.
+
+    ``values`` holds the level's C(n+k-1, k) monomial values.  Word (u, j)
+    has the monomial T_k[w_{k-1}[u], j], with w_{k-1} the monomial of each
+    word of level k-1 (w_k = T_k[w_{k-1}], raveled).  The level is the
+    gather ``values[T_k][w_{k-1}]``, raveled, so at most two levels below k
+    have a word index alive at once and level k's n^k index is never formed.
+    """
+    index = np.zeros(1, dtype=np.intp)
+    if k == 0:
+        return values[index]
+    for lvl in levels[1:k]:
+        index = lvl.table[index].ravel()
+    return values[levels[k].table][index].ravel()
 
 
 def _check_compatible(a: TruncatedTensorSeries, b: TruncatedTensorSeries) -> None:

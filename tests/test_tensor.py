@@ -11,6 +11,7 @@ from liesig.tensor import (
     TruncatedTensorSeries,
     concat_product,
     exp_tensor,
+    expand_words,
     hilbert_norm,
     monomial_levels,
     pair,
@@ -55,15 +56,20 @@ def test_unit_series_rejects_zero_dim():
 
 @pytest.mark.parametrize("n,N", [(1, 5), (2, 6), (3, 5), (5, 3)])
 def test_monomial_levels_against_enumeration(n, N):
-    for k, lvl in enumerate(monomial_levels(n, N)):
+    levels = monomial_levels(n, N)
+    for k, lvl in enumerate(levels):
         monos = list(itertools.combinations_with_replacement(range(n), k))
         assert len(lvl.parent) == len(lvl.last) == len(monos) == math.comb(n + k - 1, k)
+        rank = {m: i for i, m in enumerate(monos)}
         if k:
             parents = list(itertools.combinations_with_replacement(range(n), k - 1))
             assert [parents[p] + (j,) for p, j in zip(lvl.parent, lvl.last)] == monos
-        rank = {m: i for i, m in enumerate(monos)}
+            assert lvl.table.tolist() == [
+                [rank[tuple(sorted(q + (j,)))] for j in range(n)] for q in parents
+            ]
         words = itertools.product(range(n), repeat=k)
-        assert lvl.word_index.tolist() == [rank[tuple(sorted(w))] for w in words]
+        expanded = expand_words(levels, k, np.arange(len(monos)))
+        assert expanded.tolist() == [rank[tuple(sorted(w))] for w in words]
 
 
 def test_storage_shape_invariants():
