@@ -8,6 +8,7 @@ import math
 import sys
 
 from liesig import (
+    lk_norm,
     parse_group,
     spectrum_closed_form,
     spectrum_monte_carlo,
@@ -37,7 +38,7 @@ def main():
                 line += f" {cf.values[k]:>22.12e}"
             print(line)
         print(f"L^k norms of d(e,g)^2, k=1..4: "
-              + ", ".join(f"{quad.values[k] ** (1 / k):.6f}" for k in range(1, 5)))
+              + ", ".join(f"{lk_norm(quad, k):.6f}" for k in range(1, 5)))
         if name == "circle":
             print(f"(r_2 = pi^2/3 = {math.pi ** 2 / 3:.12f})")
 

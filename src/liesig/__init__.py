@@ -35,7 +35,6 @@ from .paths import (
     geodesic_signature,
     path_signature_numeric,
     sample_curve,
-    signature_of_curve,
 )
 from .average import (
     AverageSignatureResult,

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 from scipy.integrate import quad
 
-from .average import average_closed_form, average_monte_carlo, product_average_shuffle
+from .average import average_closed_form, average_monte_carlo, average_product
 from .groups import CircleGroup, SU2Group, parse_group, stream
 from .paths import SampledPath, path_signature_numeric, sample_curve
 from .recovery import RadialCdfEstimator, ball_volume_from_moments, diameter_estimate, recover
@@ -91,8 +91,7 @@ def _c4_odd_level_vanishing():
 
 
 def _c5_product_theorem():
-    cf = average_closed_form(CircleGroup(), 8)
-    prod = product_average_shuffle(cf, cf, 8)
+    prod = average_product(parse_group("torus:2"), 8)
     rtr2 = rtr_spectrum(prod, 1).values[1]
     exact_ok = abs(rtr2 - 2.0 * PI**2 / 3.0) <= 1e-12 * rtr2
     mc = average_monte_carlo(parse_group("torus:2"), 8, 10**6, seed=0)

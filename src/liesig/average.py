@@ -4,7 +4,7 @@ The average of exp_tensor(log g) over the normalised Haar measure is
 computed four ways:
 
   * closed form -- circle (level 2k is pi^{2k}/(2k+1)! on the only word,
-    odd levels vanish) and tori assembled from it,
+    odd levels vanish) and tori assembled from it by ``average_product``,
   * deterministic quadrature -- the radial x direction split: level k is
     (m_k / k!) M_k with m_k = E[d^k] from the model's ``radial_moments``
     (Gauss-Legendre) and M_k its ``direction_moment(k)``, the moment
@@ -17,7 +17,8 @@ computed four ways:
     (``tensor.expand_words``),
   * the product rule -- the level-N average of a Riemannian product is
     sum_k [k!(N-k)!/N!] (A_k shuffle B_{N-k}), each shuffle taken on the
-    factors' own blocks and written into the product's level block by block.
+    factors' own blocks and written into the product's level block by block;
+    ``average_product`` folds it over a product's factors.
 
 Per-sample signatures are exact tensor exponentials of Haar logs, so Monte
 Carlo error is purely statistical.
@@ -41,6 +42,7 @@ __all__ = [
     "average_closed_form",
     "average_quadrature",
     "average_monte_carlo",
+    "average_product",
     "product_average_shuffle",
     "sphere_moment_level",
     "su2_radial_moments",
@@ -95,18 +97,17 @@ def average_closed_form(model, N: int) -> AverageSignatureResult:
     """Exact average signature for the circle and for products of circles.
 
     Circle level 2k is pi^{2k}/(2k+1)! and odd levels vanish; a torus is
-    the product rule applied to one circle per factor.
+    ``average_product`` over its circles.
     """
     if not _is_torus(model):
         raise ValueError("closed form is available for the circle and circle products only")
-    _check_budget(model.dim, N)
+    if model.dim > 1:
+        return AverageSignatureResult(average_product(model, N).tensor, "closed_form")
+    _check_budget(1, N)
     levels = [np.zeros(1) for _ in range(N + 1)]
     for k in range(0, N + 1, 2):
         levels[k][0] = _power_over_factorial(math.pi, k, k + 1)
-    acc = circle = AverageSignatureResult(TruncatedTensorSeries(1, N, tuple(levels)), "closed_form")
-    for _ in range(model.dim - 1):
-        acc = product_average_shuffle(acc, circle, N)
-    return AverageSignatureResult(acc.tensor, "closed_form")
+    return AverageSignatureResult(TruncatedTensorSeries(1, N, tuple(levels)), "closed_form")
 
 
 def average_quadrature(model, N: int, nodes: int = 64) -> AverageSignatureResult:
@@ -120,7 +121,9 @@ def average_quadrature(model, N: int, nodes: int = 64) -> AverageSignatureResult
     levels = [model.direction_moment(0)]
     n = model.dim
     _check_budget(n, N)
-    m = model.radial_moments(N // 2, nodes)
+    # an overflowing power is refused below, so numpy need not warn of it
+    with np.errstate(over="ignore"):
+        m = model.radial_moments(N // 2, nodes)
     if not np.all(np.isfinite(m)):
         raise ValueError(f"radial moments up to depth {N} overflow float64")
     for k in range(1, N + 1):
@@ -189,6 +192,19 @@ def average_monte_carlo(
         stderr_per_level=np.array([math.sqrt(float(s @ s)) for s in se]),
         stderr_coeffs=tuple(se),
     )
+
+
+def average_product(model, N: int, nodes: int = 64) -> AverageSignatureResult:
+    """Product rule folded over a product's factors from the left, each
+    factor averaged in closed form (circles) or by quadrature (the rest)."""
+    if not hasattr(model, "factors"):
+        raise ValueError("product_shuffle needs a product group")
+    _check_budget(model.dim, N)  # before any factor is built
+    acc = None
+    for f in model.factors:
+        nxt = average_closed_form(f, N) if _is_torus(f) else average_quadrature(f, N, nodes)
+        acc = nxt if acc is None else product_average_shuffle(acc, nxt, N)
+    return acc
 
 
 def product_average_shuffle(

@@ -38,13 +38,13 @@ from pathlib import Path
 from .average import (
     average_closed_form,
     average_monte_carlo,
+    average_product,
     average_quadrature,
-    product_average_shuffle,
 )
-from .groups import CircleGroup, ProductGroup, parse_group
+from .groups import parse_group
 from .recovery import AmbiguousDimension, FitFailure, recover
 from .spectra import spectrum_closed_form, spectrum_monte_carlo, spectrum_quadrature
-from .tensor import BudgetError, _check_budget
+from .tensor import BudgetError
 
 __all__ = ["main", "RunConfig"]
 
@@ -172,18 +172,7 @@ def _cmd_average(cfg: RunConfig) -> int:
     elif cfg.method == "monte_carlo":
         res = average_monte_carlo(model, cfg.depth, cfg.samples, cfg.seed, threads=cfg.threads)
     elif cfg.method == "product_shuffle":
-        if not isinstance(model, ProductGroup):
-            raise ConfigError("product_shuffle needs a product group")
-        _check_budget(model.dim, cfg.depth)  # before any factor is built
-        parts = []
-        for f in model.factors:
-            if isinstance(f, CircleGroup):
-                parts.append(average_closed_form(f, cfg.depth))
-            else:
-                parts.append(average_quadrature(f, cfg.depth, cfg.nodes))
-        res = parts[0]
-        for nxt in parts[1:]:
-            res = product_average_shuffle(res, nxt, cfg.depth)
+        res = average_product(model, cfg.depth, cfg.nodes)
     else:
         raise ConfigError(f"unknown average method {cfg.method!r}")
     payload = {"config": _provenance(cfg), "result": res.to_json_dict()}
@@ -245,7 +234,7 @@ def _cmd_recover(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_verify(cfg, criteria) -> int:
+def _cmd_verify(criteria) -> int:
     from .acceptance import run_acceptance
 
     results = run_acceptance(criteria)
@@ -296,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "verify":
-        return _cmd_verify(None, args.criteria or None)
+        return _cmd_verify(args.criteria or None)
     # defaults adapt so 2K <= N holds unless both were forced by hand
     depth = args.depth
     half_depth = args.half_depth

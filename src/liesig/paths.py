@@ -7,7 +7,8 @@ increment u_i = log(g_i^{-1} g_{i+1}), take the exact signature
 exp_tensor(u_i) of the replacing geodesic chord, and Chen-concatenate left
 to right.  Chord signatures are exact and Chen composition is exact, so the
 only error is the piecewise-geodesic replacement of the path, which is
-first order in the mesh for C^1 paths.
+first order in the mesh for C^1 paths.  The caller picks the mesh: a chord
+that crosses the cut locus raises ``MeshError`` and is not refined.
 """
 
 from __future__ import annotations
@@ -25,11 +26,7 @@ __all__ = [
     "geodesic_signature",
     "path_signature_numeric",
     "sample_curve",
-    "signature_of_curve",
 ]
-
-DEFAULT_CHORDS = 1024
-MAX_CHORDS = 1 << 16
 
 
 class MeshError(RuntimeError):
@@ -89,17 +86,3 @@ def sample_curve(model, curve, chords: int) -> SampledPath:
     times = np.linspace(0.0, 1.0, chords + 1)
     return SampledPath(model, times, tuple(curve(float(t)) for t in times))
 
-
-def signature_of_curve(
-    model, curve, N: int, chords: int = DEFAULT_CHORDS, max_chords: int = MAX_CHORDS
-) -> TruncatedTensorSeries:
-    """Chordal signature of a continuous curve, doubling the mesh on cut-locus
-    crossings up to max_chords before giving up."""
-    m = chords
-    while True:
-        try:
-            return path_signature_numeric(sample_curve(model, curve, m), N)
-        except MeshError:
-            if 2 * m > max_chords:
-                raise
-            m *= 2

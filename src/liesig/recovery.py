@@ -22,7 +22,7 @@ for the small-ball asymptotics, sampled distances) and produces:
     so repeated pairings only pay for the erfc values and the sums,
   * dimension, volume, and scalar curvature from the small-ball expansion
     F(eps) = (w_n / V) eps^n (1 - S eps^2 / (6(n+2)) + O(eps^3)),
-    fit on an epsilon grid against an empirical radial CDF.
+    fit on the radii ``EPS_GRID`` against an empirical radial CDF.
 
 The empirical CDF supports plain seeded Monte Carlo ("iid", binomial
 errors) and a chunked scrambled-Sobol scheme ("qmc"), both chunked and
@@ -46,7 +46,7 @@ from scipy.special import gammaln
 from scipy.stats import qmc
 
 from .groups import map_chunks, stream
-from .spectra import TraceSpectrum
+from .spectra import TraceSpectrum, spectrum_monte_carlo
 
 __all__ = [
     "AmbiguousDimension",
@@ -61,15 +61,17 @@ __all__ = [
     "RadialCdfEstimator",
     "small_ball_recovery",
     "recover",
-    "DEFAULT_EPS_GRID",
 ]
 
 QMC_CHUNK = 1 << 21
 IID_CHUNK = 1 << 16
 # largest error bound a moment pairing may carry (criterion 7's tolerance)
 PAIRING_TOL = 0.02
-
-DEFAULT_EPS_GRID = tuple(np.geomspace(0.05, 0.3, 8))
+# fixed settings of the diameter fit, the small-ball fit and the F(R) table
+FIT_WINDOW = 0.5
+EPS_GRID = tuple(np.geomspace(0.05, 0.3, 8))
+ROUND_TOLERANCE = 0.35
+TABLE_RADII = 12
 
 
 class AmbiguousDimension(RuntimeError):
@@ -105,11 +107,11 @@ class DiameterEstimate:
         }
 
 
-def diameter_estimate(spec: TraceSpectrum, window_fraction: float = 0.5) -> DiameterEstimate:
+def diameter_estimate(spec: TraceSpectrum) -> DiameterEstimate:
     """Diameter from the spectrum tail.
 
     Fits log r_{2k} = 2k log D - c log(2k) + b by least squares over the top
-    ``window_fraction`` of available k and reports D, together with the raw
+    ``FIT_WINDOW`` of available k and reports D, together with the raw
     sequence r_{2k}^(1/(2k)) (non-decreasing for exact spectra).
     """
     K = spec.K
@@ -117,7 +119,7 @@ def diameter_estimate(spec: TraceSpectrum, window_fraction: float = 0.5) -> Diam
         raise ValueError("diameter estimation needs K >= 4")
     ks = np.arange(1, K + 1)
     raw = spec.values[1:] ** (1.0 / (2.0 * ks))
-    lo = max(2, math.ceil(K * window_fraction))
+    lo = max(2, math.ceil(K * FIT_WINDOW))
     sel = ks[ks >= lo]
     vals = spec.values[sel]
     if np.any(vals <= 0):
@@ -304,10 +306,7 @@ class RadialCdfEstimator:
             raise ValueError("scheme must be 'iid' or 'qmc'")
         radii = _radii(model, samples, seed, scheme, threads)
         radii.sort()
-        self.model = model
         self.samples = samples
-        self.seed = seed
-        self.scheme = scheme
         self._radii = radii
 
     def __call__(self, R: float) -> tuple[float, float]:
@@ -328,21 +327,17 @@ class SmallBallFit:
     diagnostics: dict = field(default_factory=dict)
 
 
-def small_ball_recovery(F, eps_grid=DEFAULT_EPS_GRID, round_tolerance: float = 0.35) -> SmallBallFit:
+def small_ball_recovery(F) -> SmallBallFit:
     """Dimension, volume, and scalar curvature from small-ball volumes.
 
-    F is a callable R -> (value, standard error).  The dimension is the
-    rounded weighted log-log slope; volume and curvature come from a joint
-    weighted fit of F(eps) = (w_n / V) eps^n (1 - S eps^2 / (6(n+2))) with n
-    pinned to the rounded integer.
+    F is a callable R -> (value, standard error), read at ``EPS_GRID``.  The
+    dimension is the weighted log-log slope rounded to a positive integer,
+    which must lie within ``ROUND_TOLERANCE``; volume and curvature come from
+    a joint weighted fit of F(eps) = (w_n / V) eps^n (1 - S eps^2 / (6(n+2)))
+    with n pinned to that integer.
     """
-    eps = np.asarray(sorted(float(e) for e in eps_grid))
-    if eps.size < 4:
-        raise ValueError("need at least 4 grid radii")
-    if eps[0] <= 0 or eps[-1] > 0.4:
-        raise ValueError("grid radii must lie in (0, 0.4]")
-    vals = np.array([F(e)[0] for e in eps])
-    ses = np.array([F(e)[1] for e in eps])
+    eps = np.array(EPS_GRID)
+    vals, ses = np.array([F(e) for e in eps]).T
     keep = vals > 0
     if keep.sum() < 4:
         raise FitFailure("fewer than 4 grid radii carry any sample mass")
@@ -355,9 +350,9 @@ def small_ball_recovery(F, eps_grid=DEFAULT_EPS_GRID, round_tolerance: float = 0
     xb, yb = float(w @ x), float(w @ y)
     slope = float(w @ ((x - xb) * (y - yb))) / float(w @ ((x - xb) ** 2))
     n = round(slope)
-    if n < 1 or abs(slope - n) > round_tolerance:
+    if n < 1 or abs(slope - n) > ROUND_TOLERANCE:
         raise AmbiguousDimension(
-            f"log-log slope {slope:.3f} is not within {round_tolerance} of a positive integer"
+            f"log-log slope {slope:.3f} is not within {ROUND_TOLERANCE} of a positive integer"
         )
 
     # joint (V, S): F/(w_n eps^n) = alpha - beta eps^2 with alpha = 1/V
@@ -427,33 +422,29 @@ def recover(
     seed: int = 0,
     K: int = 8,
     threads: int = 1,
-    eps_grid=DEFAULT_EPS_GRID,
     scheme: str = "qmc",
     spectrum: TraceSpectrum | None = None,
-    table_radii: int = 12,
 ) -> RecoveryReport:
     """Spectrum -> diameter -> F -> small-ball pipeline.
 
     The spectrum route (Monte Carlo moments by default) feeds the diameter
-    estimate; the ball-volume table and the small-ball fit use the empirical
-    radial CDF from the same seed.
+    estimate; the ball-volume table (``TABLE_RADII`` radii) and the
+    small-ball fit (at ``EPS_GRID``) use the empirical radial CDF from the
+    same seed.
     """
-    from .spectra import spectrum_monte_carlo
-
     spec = spectrum if spectrum is not None else spectrum_monte_carlo(
         model, K, samples, seed, threads=threads
     )
     diam = diameter_estimate(spec)
     radial = RadialCdfEstimator(model, samples, seed, scheme=scheme, threads=threads)
-    fit = small_ball_recovery(radial, eps_grid)
-    # reports promise a tighter slope-to-integer gap than the fit's own
-    # 0.35 rounding threshold
+    fit = small_ball_recovery(radial)
+    # reports promise a tighter slope-to-integer gap than ROUND_TOLERANCE
     if abs(fit.dimension_raw - fit.dimension) > 0.2:
         raise AmbiguousDimension(
             f"slope {fit.dimension_raw:.3f} too uncertain for a trustworthy report"
         )
     table = []
-    for R in np.linspace(0.05 * diam.value, diam.value, table_radii):
+    for R in np.linspace(0.05 * diam.value, diam.value, TABLE_RADII):
         table.append((float(R), radial(float(R))[0]))
     diagnostics = {
         "diameter": diam.to_json_dict(),

@@ -32,7 +32,6 @@ __all__ = [
     "hilbert_norm",
     "hilbert_distance",
     "trace_level",
-    "series_size",
     "monomial_levels",
     "expand_words",
     "MonomialLevel",
@@ -45,11 +44,6 @@ COEFF_BUDGET = 100_000_000
 
 class BudgetError(ValueError):
     """Requested dimension/depth combination exceeds the dense coefficient budget."""
-
-
-def series_size(dim: int, depth: int) -> int:
-    """Total number of stored coefficients, sum_{k<=depth} dim^k."""
-    return depth + 1 if dim == 1 else (dim ** (depth + 1) - 1) // (dim - 1)
 
 
 def _over_budget(dim: int, depth: int) -> bool:
@@ -103,25 +97,13 @@ class TruncatedTensorSeries:
             frozen.append(arr)
         object.__setattr__(self, "levels", tuple(frozen))
 
-    # -- small arithmetic helpers used by averaging and tests ---------------
+    # -- sum and comparison, used by tests against the algebra's identities --
 
     def __add__(self, other: "TruncatedTensorSeries") -> "TruncatedTensorSeries":
         _check_compatible(self, other)
         return TruncatedTensorSeries(
             self.dim, self.depth, tuple(a + b for a, b in zip(self.levels, other.levels))
         )
-
-    def __sub__(self, other: "TruncatedTensorSeries") -> "TruncatedTensorSeries":
-        _check_compatible(self, other)
-        return TruncatedTensorSeries(
-            self.dim, self.depth, tuple(a - b for a, b in zip(self.levels, other.levels))
-        )
-
-    def __mul__(self, scale: float) -> "TruncatedTensorSeries":
-        s = float(scale)
-        return TruncatedTensorSeries(self.dim, self.depth, tuple(lv * s for lv in self.levels))
-
-    __rmul__ = __mul__
 
     def allclose(self, other: "TruncatedTensorSeries", atol: float = 1e-12, rtol: float = 0.0) -> bool:
         _check_compatible(self, other)

@@ -43,6 +43,23 @@ def test_average_torus_product_shuffle(tmp_path):
     assert lvl2[1] == 0.0
 
 
+def test_torus_closed_form_and_product_shuffle_agree(tmp_path):
+    # both methods fold the same circle averages through the product rule
+    levels = {}
+    for method in ("closed_form", "product_shuffle"):
+        code, path = run(
+            ["average", "--group", "torus:3", "--method", method, "--depth", "6"], tmp_path, method
+        )
+        assert code == 0
+        levels[method] = json.loads(path.read_text())["result"]["levels"]
+    assert levels["closed_form"] == levels["product_shuffle"]
+
+
+def test_product_shuffle_refuses_non_product(capsys):
+    assert main(["average", "--group", "su2", "--method", "product_shuffle", "--depth", "4"]) == 2
+    assert capsys.readouterr().err == "error: product_shuffle needs a product group\n"
+
+
 def test_average_mc_byte_identical(tmp_path):
     argv = ["average", "--group", "su2", "--method", "monte_carlo", "--depth", "3",
             "--samples", "50000", "--seed", "42"]

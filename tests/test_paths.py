@@ -10,7 +10,6 @@ from liesig.paths import (
     geodesic_signature,
     path_signature_numeric,
     sample_curve,
-    signature_of_curve,
 )
 from liesig.tensor import (
     concat_product,
@@ -132,26 +131,3 @@ def test_cut_locus_chord_raises_mesh_error():
     path = SampledPath(model, np.array([0.0, 1.0]), (-PI / 2 - 1e-12, PI / 2))
     with pytest.raises(MeshError):
         path_signature_numeric(path, 3)
-
-
-def test_signature_of_curve_refines_mesh():
-    model = CircleGroup()
-
-    # one full turn: the 2-chord mesh lands exactly on the antipode and must
-    # be refined; the refined mesh then resolves the winding
-    def curve(t):
-        return model.exp(np.array([2.0 * PI * t]))
-
-    sig = signature_of_curve(model, curve, 4, chords=2)
-    assert abs(sig.levels[1][0] - 2.0 * PI) < 1e-9
-
-
-def test_signature_of_curve_gives_up():
-    model = CircleGroup()
-
-    # jumps straight to the antipode: every refinement keeps an antipodal chord
-    def hostile(t):
-        return model.exp(np.array([PI if t > 0 else 0.0]))
-
-    with pytest.raises(MeshError):
-        signature_of_curve(model, hostile, 3, chords=2, max_chords=16)

@@ -313,10 +313,6 @@ def test_small_ball_empirical_circle():
 def test_small_ball_errors():
     with pytest.raises(AmbiguousDimension):
         small_ball_recovery(exact_handle(lambda R: R**1.5 / 10))
-    with pytest.raises(ValueError):
-        small_ball_recovery(exact_handle(circle_F), eps_grid=[0.1, 0.2])
-    with pytest.raises(ValueError):
-        small_ball_recovery(exact_handle(circle_F), eps_grid=[0.1, 0.2, 0.3, 0.45])
     with pytest.raises(FitFailure):
         small_ball_recovery(exact_handle(lambda R: 0.0))
 
