@@ -5,9 +5,9 @@ for the small-ball asymptotics, sampled distances) and produces:
 
   * L^k norms of the squared distance: r_{2k}^(1/k),
   * the diameter, as the limit of r_{2k}^(1/(2k)); a log-linear fit
-    log r_{2k} = 2k log D - c log(2k) + b over the top half of the
-    available levels absorbs the polynomial prefactor that makes the raw
-    limit converge only like O(log k / k),
+    log r_{2k} = 2k log D - c log(2k) + b over the top ``FIT_WINDOW`` (half)
+    of the available levels absorbs the polynomial prefactor that makes the
+    raw limit converge only like O(log k / k),
   * the ball-volume function F(R) by polynomial moment pairing: a mollified
     indicator of [0, R^2] is Chebyshev-projected on [0, B] and its monomial
     coefficients are paired with the moments.  The pairing is evaluated in
