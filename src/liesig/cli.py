@@ -143,14 +143,15 @@ def _emit(cfg: RunConfig, payload: dict, csv_rows: Callable[[], Iterable[list]])
     """Write the payload as JSON, or ``csv_rows()`` as CSV.
 
     ``csv_rows`` is a callable returning an iterable of rows, so the rows
-    are built only when CSV is asked for.
+    are built only when CSV is asked for; a string row is lines already formatted.
     """
     if cfg.format == "json":
         text = _json_text(payload) + "\n"
     else:
         lines = [f"# {k}={v}" for k, v in sorted(_provenance(cfg).items())]
         for row in csv_rows():
-            lines.append(",".join(repr(x) if isinstance(x, float) else str(x) for x in row))
+            lines.append(row if isinstance(row, str) else ",".join(
+                repr(x) if isinstance(x, float) else str(x) for x in row))
         text = "\n".join(lines) + "\n"
     if cfg.output:
         base = Path(os.environ.get("LIESIG_OUTPUT_DIR", "."))
@@ -180,8 +181,7 @@ def _cmd_average(cfg: RunConfig) -> int:
     def rows():
         yield ["kind", "level", "index", "value"]
         for k, lv in enumerate(res.tensor.levels):
-            for i, val in enumerate(lv):
-                yield ["coeff", k, i, float(val)]
+            yield "\n".join(f"coeff,{k},{i},{x!r}" for i, x in enumerate(lv.tolist()))
         if res.stderr_per_level is not None:
             for k, s in enumerate(res.stderr_per_level):
                 yield ["stderr_level", k, 0, float(s)]

@@ -372,9 +372,10 @@ class SU2Group:
     def multiply(self, a, b) -> np.ndarray:
         aw, av = a[0], np.asarray(a[1:])
         bw, bv = b[0], np.asarray(b[1:])
+        (x1, y1, z1), (x2, y2, z2) = av.tolist(), bv.tolist()
         out = np.empty(4)
         out[0] = aw * bw - av @ bv
-        out[1:] = aw * bv + bw * av + np.cross(av, bv)
+        out[1:] = aw * bv + bw * av + [y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2]
         return out / np.linalg.norm(out)
 
     def inverse(self, a) -> np.ndarray:

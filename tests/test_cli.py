@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -288,6 +289,19 @@ def test_cli_json_and_csv_bytes_match_stdlib_route(argv, tmp_path, monkeypatch):
     assert text == json.dumps(payload, sort_keys=True, indent=2) + "\n"
     _, pc = run(argv + ["--format", "csv"], tmp_path, "csv")
     assert pc.read_text() == _csv_from_payload(argv, payload)
+
+
+@pytest.mark.parametrize("argv", [
+    ["average", "--group", "su2", "--method", "quadrature", "--depth", "6"],
+    ["average", "--group", "product:su2,circle", "--method", "product_shuffle", "--depth", "4"],
+], ids=["su2-quadrature", "su2xcircle-product_shuffle"])
+def test_average_csv_levels_match_per_row_writer(argv, tmp_path):
+    # coefficient rows are formatted a level at a time; the per-row writer
+    # of _csv_from_payload is the oracle for their bytes
+    _, pj = run(argv, tmp_path, "json")
+    _, pc = run(argv + ["--format", "csv"], tmp_path, "csv")
+    oracle = _csv_from_payload(argv, json.loads(pj.read_text())).encode()
+    assert hashlib.sha256(pc.read_bytes()).hexdigest() == hashlib.sha256(oracle).hexdigest()
 
 
 def test_json_output_builds_no_csv_rows(tmp_path, monkeypatch):

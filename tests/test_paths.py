@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from liesig.groups import CircleGroup, SU2Group
+import liesig.paths as paths
+from liesig.groups import CircleGroup, SU2Group, parse_group
 from liesig.paths import (
     MeshError,
     SampledPath,
+    chord_increments,
     geodesic_signature,
     path_signature_numeric,
     sample_curve,
@@ -29,6 +31,70 @@ def su2_curve(a=0.4, b=0.3):
         return model.exp(np.array([a * math.sin(PI * t), b * t, 0.0]))
 
     return model, curve
+
+
+def fold_oracle(path, N):
+    # chord signatures multiplied in one at a time, left to right
+    sig = unit_series(path.model.dim, N)
+    for u in chord_increments(path):
+        sig = concat_product(sig, exp_tensor(u, N))
+    return sig
+
+
+def oracle_curve(group):
+    model = parse_group(group)
+    su2 = SU2Group()
+
+    def su2_point(t):
+        return su2.exp(np.array([0.9 * math.sin(PI * t), 0.6 * t, -0.5 * t * t]))
+
+    def circle_point(t):
+        return 2.5 * math.sin(1.5 * PI * t)
+
+    if group == "su2":
+        return model, su2_point
+    if group == "circle":
+        return model, circle_point
+    return model, lambda t: (su2_point(t), circle_point(t))
+
+
+def max_abs_diff(a, b):
+    return max(float(np.max(np.abs(x - y))) for x, y in zip(a.levels, b.levels))
+
+
+@pytest.mark.parametrize("chords", [1, 2, 3, 5, 64, 2047])
+@pytest.mark.parametrize("group", ["su2", "circle", "product:su2,circle"])
+def test_numeric_matches_left_fold_oracle(group, chords):
+    model, curve = oracle_curve(group)
+    path = sample_curve(model, curve, chords)
+    assert max_abs_diff(path_signature_numeric(path, 5), fold_oracle(path, 5)) <= 1e-13
+
+
+def test_one_chord_is_exp_tensor_bitwise():
+    model = SU2Group()
+    path = SampledPath(model, np.array([0.0, 1.0]), (model.identity(), model.exp([0.7, -0.2, 0.4])))
+    (u,) = chord_increments(path)
+    sig, ref = path_signature_numeric(path, 6), exp_tensor(u, 6)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(sig.levels, ref.levels))
+
+
+def test_blocks_fold_to_the_unblocked_reduction(monkeypatch):
+    model, curve = oracle_curve("su2")
+    path = sample_curve(model, curve, 100)
+    whole = path_signature_numeric(path, 5)
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return concat_product(a, b)
+
+    # seven chords' worth of levels 1..5 per block: 15 blocks, 14 folds
+    monkeypatch.setattr(paths, "_BLOCK_COEFFS", 7 * sum(3**k for k in range(1, 6)))
+    monkeypatch.setattr(paths, "concat_product", counted)
+    blocked = path_signature_numeric(path, 5)
+    assert len(calls) == 14
+    assert max_abs_diff(blocked, whole) <= 1e-13
+    assert max_abs_diff(blocked, fold_oracle(path, 5)) <= 1e-13
 
 
 def test_sampled_path_validation():
