@@ -139,7 +139,7 @@ def _json_text(obj) -> str:
     return encode(obj, 0)
 
 
-def _emit(cfg: RunConfig, payload: dict, csv_rows: Callable[[], Iterable[list]]) -> None:
+def _emit(cfg: RunConfig, payload: dict, csv_rows: Callable[[], Iterable[list | str]]) -> None:
     """Write the payload as JSON, or ``csv_rows()`` as CSV.
 
     ``csv_rows`` is a callable returning an iterable of rows, so the rows
