@@ -13,7 +13,9 @@ Outputs are JSON (default) or CSV, written to stdout or --output.  Every
 output embeds the full effective configuration, so seeded runs are
 reproducible byte for byte regardless of --threads.  The environment
 variable LIESIG_OUTPUT_DIR redirects relative --output paths (and nothing
-else).
+else).  JSON is the text of json.dumps(payload, sort_keys=True, indent=2),
+with tensor levels formatted from their arrays, each distinct value once;
+a regular --output file is replaced only when complete.
 
 CSV column layouts:
   average:  kind,level,index,value   (kind: coeff | stderr_level)
@@ -30,10 +32,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
-from collections.abc import Callable, Iterable
-from dataclasses import dataclass, asdict
+from collections.abc import Callable, Iterable, Iterator
+from dataclasses import dataclass, asdict, fields
 from pathlib import Path
+
+import numpy as np
 
 from .average import (
     average_closed_form,
@@ -95,73 +100,91 @@ def _provenance(cfg: RunConfig) -> dict:
     return d
 
 
-def _json_text(obj) -> str:
-    """Exactly ``json.dumps(obj, sort_keys=True, indent=2)``.
+# values formatted and written at once, so the text held stays a few MB
+_SLICE = 1 << 18
 
-    With ``indent`` set the stdlib encodes every value in Python.  Here each
-    list of plain scalars (a tensor level holds up to millions of floats)
-    goes through the C encoder in one call instead, with the newline and
-    indentation folded into its item separator; dicts and nested lists are
-    laid out in Python as the stdlib lays them out.
+
+def _value_texts(arr: np.ndarray) -> Iterator[tuple[int, list[str]]]:
+    """(start, texts) per slice: the JSON text of each value of a 1-D float64 array.
+
+    Each distinct bit pattern is encoded once, by the stdlib; a tensor level
+    holds few of them.  Patterns are compared as integers, so -0.0 and 0.0
+    stay apart.  Finite values read as their ``repr``.
     """
-    scalar_types = {float, int, str, bool, type(None)}
-    scalar = json.JSONEncoder()
-    flat: dict[int, json.JSONEncoder] = {}  # C encoders for flat lists, by depth
-
-    def encode(o, depth: int) -> str:
-        if isinstance(o, (list, tuple)):
-            if not o:
-                return "[]"
-            pad = "\n" + "  " * (depth + 1)
-            if set(map(type, o)) <= scalar_types:
-                if depth not in flat:
-                    flat[depth] = json.JSONEncoder(separators=("," + pad, ": "))
-                body = flat[depth].encode(o)[1:-1]
-            else:
-                body = ("," + pad).join(encode(v, depth + 1) for v in o)
-            return "[" + pad + body + "\n" + "  " * depth + "]"
-        if isinstance(o, dict):
-            if not o:
-                return "{}"
-            pad = "\n" + "  " * (depth + 1)
-            items = []
-            for key, v in sorted(o.items()):
-                if not isinstance(key, str):
-                    if key is not None and not isinstance(key, (int, float)):
-                        raise TypeError(
-                            f"keys must be str, int, float, bool or None, not {type(key).__name__}"
-                        )
-                    key = scalar.encode(key)  # true, null, 1.5, ... as the stdlib writes them
-                items.append(scalar.encode(key) + ": " + encode(v, depth + 1))
-            return "{" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "}"
-        return scalar.encode(o)
-
-    return encode(obj, 0)
+    bits = arr.view(np.int64)
+    patterns = np.unique(bits)
+    texts = np.array([json.dumps(x) for x in patterns.view(np.float64).tolist()], dtype=object)
+    for lo in range(0, len(bits), _SLICE):
+        yield lo, texts[np.searchsorted(patterns, bits[lo:lo + _SLICE])].tolist()
 
 
-def _emit(cfg: RunConfig, payload: dict, csv_rows: Callable[[], Iterable[list | str]]) -> None:
-    """Write the payload as JSON, or ``csv_rows()`` as CSV.
+def _json_pieces(payload) -> Iterator[str]:
+    """``json.dumps(payload, sort_keys=True, indent=2)`` and a newline, in pieces.
+
+    The stdlib lays out the payload with a sentinel string in place of each
+    nonempty 1-D float64 array (a tensor level), and the array's values are
+    spliced in at the indent of the sentinel's line.
+    """
+    arrays = []
+
+    def sentinel(o):
+        if not (isinstance(o, np.ndarray) and o.dtype == np.float64 and o.ndim == 1):
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        if not len(o):
+            return []
+        arrays.append(o)
+        return f"\0{len(arrays) - 1}\0"
+
+    text = json.dumps(payload, sort_keys=True, indent=2, default=sentinel)
+    parts = re.split(r'"\\u0000(\d+)\\u0000"', text)  # text, index, text, ...
+    if len(parts) != 2 * len(arrays) + 1:
+        # a payload string reads as a sentinel; every array passed the check above
+        parts = [json.dumps(payload, sort_keys=True, indent=2, default=np.ndarray.tolist)]
+    for head, i in zip(parts[0::2], parts[1::2]):
+        indent = "\n" + re.match(" *", head[head.rfind("\n") + 1:]).group()
+        sep = "," + indent + "  "
+        yield head + "[" + indent + "  "
+        for lo, texts in _value_texts(arrays[int(i)]):
+            yield (sep if lo else "") + sep.join(texts)
+        yield indent + "]"
+    yield parts[-1] + "\n"
+
+
+def _emit(cfg: RunConfig, result: dict, csv_rows: Callable[[], Iterable[list | str]]) -> None:
+    """Write the provenance and ``result`` as JSON, or ``csv_rows()`` as CSV.
 
     ``csv_rows`` is a callable returning an iterable of rows, so the rows
-    are built only when CSV is asked for; a string row is lines already formatted.
+    are built only when CSV is asked for; a string row is lines already
+    formatted.  A regular file is written next to ``--output`` and renamed
+    onto it once complete, so a failed run leaves no partial document there.
     """
     if cfg.format == "json":
-        text = _json_text(payload) + "\n"
+        pieces = _json_pieces({"config": _provenance(cfg), **result})
     else:
         lines = [f"# {k}={v}" for k, v in sorted(_provenance(cfg).items())]
-        for row in csv_rows():
-            lines.append(row if isinstance(row, str) else ",".join(
-                repr(x) if isinstance(x, float) else str(x) for x in row))
-        text = "\n".join(lines) + "\n"
-    if cfg.output:
-        base = Path(os.environ.get("LIESIG_OUTPUT_DIR", "."))
-        path = Path(cfg.output)
-        if not path.is_absolute():
-            path = base / path
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
-    else:
-        sys.stdout.write(text)
+        rows = (row if isinstance(row, str) else ",".join(
+            repr(x) if isinstance(x, float) else str(x) for x in row) for row in csv_rows())
+        pieces = (line + "\n" for part in (lines, rows) for line in part)
+    if not cfg.output:
+        sys.stdout.writelines(pieces)
+        return
+    path = Path(cfg.output)
+    if not path.is_absolute():
+        path = Path(os.environ.get("LIESIG_OUTPUT_DIR", ".")) / path
+    path.parent.mkdir(parents=True, exist_ok=True)
+    if path.is_symlink() or path.exists() and not path.is_file():
+        # a link (/dev/stdout is one), a pipe or a device is written through, never replaced
+        with open(path, "w") as out:
+            out.writelines(pieces)
+        return
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as out:
+            out.writelines(pieces)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _cmd_average(cfg: RunConfig) -> int:
@@ -176,17 +199,17 @@ def _cmd_average(cfg: RunConfig) -> int:
         res = average_product(model, cfg.depth, cfg.nodes)
     else:
         raise ConfigError(f"unknown average method {cfg.method!r}")
-    payload = {"config": _provenance(cfg), "result": res.to_json_dict()}
 
     def rows():
         yield ["kind", "level", "index", "value"]
         for k, lv in enumerate(res.tensor.levels):
-            yield "\n".join(f"coeff,{k},{i},{x!r}" for i, x in enumerate(lv.tolist()))
+            for lo, texts in _value_texts(lv):  # repr, as the levels are finite
+                yield "\n".join(f"coeff,{k},{i},{x}" for i, x in enumerate(texts, lo))
         if res.stderr_per_level is not None:
             for k, s in enumerate(res.stderr_per_level):
                 yield ["stderr_level", k, 0, float(s)]
 
-    _emit(cfg, payload, rows)
+    _emit(cfg, {"result": res.to_json_dict()}, rows)
     return 0
 
 
@@ -200,7 +223,6 @@ def _cmd_spectrum(cfg: RunConfig) -> int:
         spec = spectrum_monte_carlo(model, cfg.half_depth, cfg.samples, cfg.seed, threads=cfg.threads)
     else:
         raise ConfigError(f"unknown spectrum method {cfg.method!r}")
-    payload = {"config": _provenance(cfg), "result": spec.to_json_dict()}
 
     def rows():
         yield ["kind", "k", "value"]
@@ -210,27 +232,20 @@ def _cmd_spectrum(cfg: RunConfig) -> int:
             for k, s in enumerate(spec.stderr):
                 yield ["stderr", k, float(s)]
 
-    _emit(cfg, payload, rows)
+    _emit(cfg, {"result": spec.to_json_dict()}, rows)
     return 0
 
 
 def _cmd_recover(cfg: RunConfig) -> int:
     model = parse_group(cfg.group)
     try:
-        report = recover(
-            model,
-            samples=cfg.samples,
-            seed=cfg.seed,
-            K=cfg.half_depth,
-            threads=cfg.threads,
-            scheme=cfg.scheme,
-        )
+        report = recover(model, samples=cfg.samples, seed=cfg.seed, K=cfg.half_depth,
+                         threads=cfg.threads, scheme=cfg.scheme)
     except (AmbiguousDimension, FitFailure) as exc:
-        payload = {"config": _provenance(cfg), "error": str(exc), "result": None}
-        _emit(cfg, payload, lambda: [["kind", "index", "x", "value"], ["error", 0, 0.0, str(exc)]])
+        _emit(cfg, {"error": str(exc), "result": None},
+              lambda: [["kind", "index", "x", "value"], ["error", 0, 0.0, str(exc)]])
         return 3
-    payload = {"config": _provenance(cfg), "result": report.to_json_dict()}
-    _emit(cfg, payload, report.csv_rows)
+    _emit(cfg, {"result": report.to_json_dict()}, report.csv_rows)
     return 0
 
 
@@ -287,34 +302,18 @@ def main(argv=None) -> int:
     if args.command == "verify":
         return _cmd_verify(args.criteria or None)
     # defaults adapt so 2K <= N holds unless both were forced by hand
-    depth = args.depth
-    half_depth = args.half_depth
+    depth, half_depth = args.depth, args.half_depth
     if depth is None:
         depth = DEFAULTS["depth"] if half_depth is None else max(DEFAULTS["depth"], 2 * half_depth)
     if half_depth is None:
         half_depth = min(DEFAULTS["half_depth"], depth // 2)
-    cfg = RunConfig(
-        group=args.group,
-        method=getattr(args, "method", "monte_carlo"),
-        depth=depth,
-        half_depth=half_depth,
-        samples=args.samples,
-        seed=args.seed,
-        nodes=args.nodes,
-        threads=args.threads,
-        scheme=args.scheme,
-        output=args.output,
-        format=args.format,
-    )
+    # the parser's destinations are named after RunConfig's fields; recover has no --method
+    given = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
+    cfg = RunConfig(**{"method": "monte_carlo", **given, "depth": depth, "half_depth": half_depth})
+    commands = {"average": _cmd_average, "spectrum": _cmd_spectrum, "recover": _cmd_recover}
     try:
         cfg.validate()
-        if args.command == "average":
-            return _cmd_average(cfg)
-        if args.command == "spectrum":
-            return _cmd_spectrum(cfg)
-        if args.command == "recover":
-            return _cmd_recover(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return commands[args.command](cfg)
     except (ConfigError, BudgetError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -112,7 +112,7 @@ class TruncatedTensorSeries:
         )
 
     def to_json_dict(self) -> dict:
-        return {"n": self.dim, "N": self.depth, "levels": [lv.tolist() for lv in self.levels]}
+        return {"n": self.dim, "N": self.depth, "levels": list(self.levels)}
 
 
 @dataclass(frozen=True)

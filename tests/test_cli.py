@@ -1,10 +1,13 @@
 import hashlib
 import json
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import liesig.cli as cli
 from liesig.cli import main
@@ -204,6 +207,68 @@ def test_verify_subset(capsys):
 
 # -- JSON encoder and lazy CSV rows -------------------------------------------
 
+
+def _json_text(obj) -> str:
+    """Exactly ``json.dumps(obj, sort_keys=True, indent=2)``.
+
+    The encoder the CLI used before it wrote levels from their arrays, kept
+    as an oracle.  With ``indent`` set the stdlib encodes every value in
+    Python.  Here each list of plain scalars goes through the C encoder in
+    one call instead, with the newline and indentation folded into its item
+    separator; dicts and nested lists are laid out in Python as the stdlib
+    lays them out.
+    """
+    scalar_types = {float, int, str, bool, type(None)}
+    scalar = json.JSONEncoder()
+    flat: dict[int, json.JSONEncoder] = {}  # C encoders for flat lists, by depth
+
+    def encode(o, depth: int) -> str:
+        if isinstance(o, (list, tuple)):
+            if not o:
+                return "[]"
+            pad = "\n" + "  " * (depth + 1)
+            if set(map(type, o)) <= scalar_types:
+                if depth not in flat:
+                    flat[depth] = json.JSONEncoder(separators=("," + pad, ": "))
+                body = flat[depth].encode(o)[1:-1]
+            else:
+                body = ("," + pad).join(encode(v, depth + 1) for v in o)
+            return "[" + pad + body + "\n" + "  " * depth + "]"
+        if isinstance(o, dict):
+            if not o:
+                return "{}"
+            pad = "\n" + "  " * (depth + 1)
+            items = []
+            for key, v in sorted(o.items()):
+                if not isinstance(key, str):
+                    if key is not None and not isinstance(key, (int, float)):
+                        raise TypeError(
+                            f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+                        )
+                    key = scalar.encode(key)  # true, null, 1.5, ... as the stdlib writes them
+                items.append(scalar.encode(key) + ": " + encode(v, depth + 1))
+            return "{" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "}"
+        return scalar.encode(o)
+
+    return encode(obj, 0)
+
+
+def _tolisted(o):
+    """``o`` with every numpy array turned into a list, as the stdlib can encode it."""
+    if isinstance(o, dict):
+        return {k: _tolisted(v) for k, v in o.items()}
+    if isinstance(o, (list, tuple)):
+        return [_tolisted(v) for v in o]
+    return o.tolist() if isinstance(o, np.ndarray) else o
+
+
+def _stdlib_text(o) -> str:
+    return json.dumps(_tolisted(o), sort_keys=True, indent=2) + "\n"
+
+
+def _written(payload) -> str:
+    return "".join(cli._json_pieces(payload))
+
 _edge_floats = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-7, 0.1, 1e16])
 _scalars = st.one_of(
     st.none(), st.booleans(), st.integers(), st.floats(), _edge_floats, st.text(),
@@ -224,7 +289,7 @@ _trees = st.recursive(
 @settings(max_examples=150, deadline=None)
 @given(_trees)
 def test_json_text_matches_stdlib(obj):
-    assert cli._json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
+    assert _json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
 
 
 def test_json_text_keys_and_numpy_scalars():
@@ -237,10 +302,64 @@ def test_json_text_keys_and_numpy_scalars():
         [[], {}, [[]], [{}], ()],
         [float("nan"), float("inf"), -float("inf")],
     ):
-        assert cli._json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
+        assert _json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
     for bad in ({(1, 2): 0}, {"x": np.zeros(2)}):
         with pytest.raises(TypeError):
-            cli._json_text(bad)
+            _json_text(bad)
+
+
+_float_arrays = st.one_of(
+    hnp.arrays(np.float64, st.integers(0, 12), elements=st.one_of(st.floats(), _edge_floats)),
+    hnp.arrays(np.float64, st.integers(0, 12), elements=_edge_floats).map(lambda a: a[::2]),
+)
+_array_trees = st.recursive(
+    st.one_of(_scalars, _float_lists, _float_arrays),
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(st.text(max_size=6), children, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_array_trees, st.sampled_from([1, 2, 3, 1 << 18]))
+def test_json_pieces_matches_stdlib(obj, slice_size):
+    # float64 arrays at any depth, NaN and inf included, cut into slices of
+    # any size; the stdlib on the same payload with the arrays as lists is
+    # the oracle
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_SLICE", slice_size)
+        assert _written(obj) == _stdlib_text(obj)
+
+
+def test_json_pieces_edge_arrays():
+    zeros = np.array([0.0, -0.0, 0.0, -0.0, 5e-324, -5e-324, 5e-324])
+    for obj in (
+        zeros,
+        {"levels": [np.array([1.0]), zeros, np.zeros(0), np.array([np.nan, np.inf, -np.inf])]},
+        {"a": {"b": [[zeros]], "c": np.zeros(0)}, "d": (zeros, 1.5)},
+        [np.zeros(0)],
+        np.zeros(0),
+        {"x": np.arange(7.0)[::3], "y": [np.float64(-0.0), 2]},
+    ):
+        assert _written(obj) == _stdlib_text(obj)
+    assert _written(zeros).count("-0.0") == 2
+    with pytest.raises(TypeError):
+        _written({"x": np.zeros(2, dtype=np.float32)})
+
+
+def test_json_pieces_strings_that_read_as_sentinels():
+    # a payload string with a sentinel's text sends the whole payload through the stdlib
+    for obj in (
+        {"a": "\x000\x00", "b": np.array([1.0, 2.0])},
+        {"\x000\x00": np.array([1.0])},
+        {"a": "\x001\x00", "b": np.array([1.0])},
+        {"a": ["\x000\x00"]},
+        [np.array([3.0]), '"\x000\x00'],
+    ):
+        assert _written(obj) == _stdlib_text(obj)
 
 
 _CLI_CASES = [
@@ -283,7 +402,7 @@ def test_cli_json_and_csv_bytes_match_stdlib_route(argv, tmp_path, monkeypatch):
     _, pj = run(argv, tmp_path, "fast")
     text = pj.read_text()
     payload = json.loads(text)
-    monkeypatch.setattr(cli, "_json_text", lambda o: json.dumps(o, sort_keys=True, indent=2))
+    monkeypatch.setattr(cli, "_json_pieces", lambda o: [_stdlib_text(o)])
     _, ps = run(argv, tmp_path, "stdlib")
     assert pj.read_bytes() == ps.read_bytes()
     assert text == json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -295,13 +414,78 @@ def test_cli_json_and_csv_bytes_match_stdlib_route(argv, tmp_path, monkeypatch):
     ["average", "--group", "su2", "--method", "quadrature", "--depth", "6"],
     ["average", "--group", "product:su2,circle", "--method", "product_shuffle", "--depth", "4"],
 ], ids=["su2-quadrature", "su2xcircle-product_shuffle"])
-def test_average_csv_levels_match_per_row_writer(argv, tmp_path):
-    # coefficient rows are formatted a level at a time; the per-row writer
-    # of _csv_from_payload is the oracle for their bytes
+def test_average_csv_levels_match_per_row_writer(argv, tmp_path, monkeypatch):
+    # coefficient rows are formatted a slice of a level at a time; the
+    # per-row writer of _csv_from_payload is the oracle for their bytes
+    monkeypatch.setattr(cli, "_SLICE", 7)
     _, pj = run(argv, tmp_path, "json")
     _, pc = run(argv + ["--format", "csv"], tmp_path, "csv")
     oracle = _csv_from_payload(argv, json.loads(pj.read_text())).encode()
     assert hashlib.sha256(pc.read_bytes()).hexdigest() == hashlib.sha256(oracle).hexdigest()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("argv", [
+    ["average", "--group", "torus:2", "--method", "closed_form", "--depth", "6"],
+    ["average", "--group", "su2", "--method", "quadrature", "--depth", "7"],
+    ["average", "--group", "su2", "--method", "monte_carlo", "--depth", "4",
+     "--samples", "20000", "--seed", "11"],
+    ["average", "--group", "product:su2,circle", "--method", "product_shuffle", "--depth", "6"],
+], ids=lambda a: a[4])
+def test_average_bytes_match_stdlib_route(argv, threads, tmp_path, monkeypatch):
+    argv = argv + ["--threads", threads]
+    _, fast = run(argv, tmp_path, "fast")
+    monkeypatch.setattr(cli, "_json_pieces", lambda o: [_stdlib_text(o)])
+    _, slow = run(argv, tmp_path, "stdlib")
+    assert fast.read_bytes() == slow.read_bytes()
+
+
+def test_average_stdout_matches_output_file(tmp_path, capsys):
+    argv = ["average", "--group", "product:su2,circle", "--method", "product_shuffle",
+            "--depth", "5"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    _, path = run(argv, tmp_path)
+    assert out.encode() == path.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("existing", [None, "old contents\n"], ids=["absent", "existing"])
+def test_failed_write_leaves_output_untouched(fmt, existing, tmp_path, monkeypatch):
+    # the writer fails after the first slice of a level is out
+    def failing(arr):
+        yield 0, ["0.0"] * min(len(arr), 2)
+        raise RuntimeError("writer failed")
+
+    path = tmp_path / "out.dat"
+    if existing is not None:
+        path.write_text(existing)
+    monkeypatch.setattr(cli, "_value_texts", failing)
+    with pytest.raises(RuntimeError, match="writer failed"):
+        main(["average", "--group", "su2", "--method", "quadrature", "--depth", "4",
+              "--format", fmt, "--output", str(path)])
+    assert [p.name for p in tmp_path.iterdir()] == ([] if existing is None else ["out.dat"])
+    assert existing is None or path.read_text() == existing
+
+
+def test_output_through_link_and_pipe(tmp_path):
+    # a link (as /dev/stdout is) and a pipe are written through, not replaced
+    argv = ["spectrum", "--group", "circle", "--method", "closed_form", "--half-depth", "4"]
+    _, plain = run(argv, tmp_path, "plain")
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("old contents\n")
+    link.symlink_to(target)
+    assert main(argv + ["--output", str(link)]) == 0
+    assert link.is_symlink() and target.read_bytes() == plain.read_bytes()
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert main(argv + ["--output", str(fifo)]) == 0
+    reader.join(timeout=30)
+    assert not reader.is_alive() and got == [plain.read_bytes()]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "link.json", "plain.dat", "target.json"]
 
 
 def test_json_output_builds_no_csv_rows(tmp_path, monkeypatch):
