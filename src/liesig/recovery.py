@@ -17,9 +17,13 @@ for the small-ball asymptotics, sampled distances) and produces:
     inputs, float64 spectra are only usable at small degree: a pairing
     whose amplification times the moments' storage rounding (2^-52 for
     float64) exceeds PAIRING_TOL raises FitFailure instead of returning a
-    clamped guess.  The Chebyshev nodes, the cosine table and the integer
-    coefficient rows of T_m(2u - 1) are cached per (degree, mp precision),
-    so repeated pairings only pay for the erfc values and the sums,
+    clamped guess.  The sums run in fixed point at wp = prec + 32 bits:
+    node values, cosines and scaled moments become integers in units of
+    2^-wp, and the Chebyshev sums, the monomial re-expansion and the
+    pairing are exact integer sums.  erfc is evaluated only where it is
+    not saturated, at the relative precision that absolute accuracy 2^-wp
+    needs.  The nodes, the integer cosine table and the integer rows of
+    T_m(2u - 1) are cached per (degree, precision),
   * dimension, volume, and scalar curvature from the small-ball expansion
     F(eps) = (w_n / V) eps^n (1 - S eps^2 / (6(n+2)) + O(eps^3)),
     fit on the radii ``EPS_GRID`` against an empirical radial CDF.
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -148,21 +153,23 @@ def unit_ball_volume(n: int) -> float:
 
 
 @functools.lru_cache(maxsize=None)
-def _chebyshev_tables(degree: int, prec: int):
+def _chebyshev_tables(degree: int, wp: int):
     """Nodes, cosine rows and monomial rows of the degree-``degree`` projection.
 
     With M = 2 degree + 33 nodes at angles pi (2j+1) / (2M), every
     cos(m angle_j) is cos(pi k / (2M)) for k = m (2j+1) mod 4M: one table of
-    4M entries from M + 1 ``mp.cos`` calls and the symmetries of cos.  The
-    nodes are (1 + table[2j+1]) / 2.  ``int_rows[m]`` holds the exact integer
-    coefficients of T_m(2u - 1) in powers of u.  ``prec`` is the mp working
-    precision the table was built at and only keys the cache.
+    4M entries from M ``mp.cos`` calls and the symmetries of cos.  The
+    entries are integers in units of 2^-wp, shared by the rows.  The nodes
+    are (1 + table[2j+1]) / 2 as mpf at wp bits.  ``int_rows[m]`` holds the
+    exact integer coefficients of T_m(2u - 1) in powers of u.
     """
     M = 2 * degree + 33
-    quarter = [mp.cos(mp.pi * k / (2 * M)) for k in range(M)] + [mp.mpf(0)]
-    half = quarter + [-quarter[k] for k in range(M - 1, -1, -1)]  # k = 0..2M
+    with mp.workprec(wp):
+        quarter = [mp.cos(mp.pi * k / (2 * M)) for k in range(M)] + [mp.mpf(0)]
+        half = quarter + [-quarter[k] for k in range(M - 1, -1, -1)]  # k = 0..2M
+        nodes = [(1 + half[2 * j + 1]) / 2 for j in range(M)]
+    half = [mp.libmp.to_fixed(h._mpf_, wp) for h in half]
     table = half + half[2 * M - 1 : 0 : -1]  # k = 0..4M-1
-    nodes = [(1 + table[2 * j + 1]) / 2 for j in range(M)]
     cos_rows = [[table[m * (2 * j + 1) % (4 * M)] for j in range(M)] for m in range(degree + 1)]
     int_rows = [[1], [-1, 2]]
     for _ in range(2, degree + 1):
@@ -176,9 +183,22 @@ def _chebyshev_tables(degree: int, prec: int):
     return nodes, cos_rows, int_rows
 
 
-def _erfc(x):
-    # mpmath sums a slow erf series for every negative argument
-    return 2 - mp.erfc(-x) if x < 0 else mp.erfc(x)
+def _erfc_fixed(x, wp):
+    """erfc(x) in units of 2^-wp, to absolute accuracy 2^-wp.
+
+    erfc(x) <= exp(-x^2) for x >= 0, so past x^2 log2(e) > wp + 8 it is 0,
+    and below that wp + 1 - floor(x^2 log2(e)) bits of relative precision
+    and rounding to the nearest unit are enough; mpmath would otherwise run
+    its 1 - erf series at twice the bits.  Negative x reflects.
+    """
+    if x < 0:
+        return (2 << wp) - _erfc_fixed(-x, wp)
+    t = float(x) ** 2 * math.log2(math.e)
+    if t > wp + 8:
+        return 0
+    with mp.workprec(wp + 1 - int(t)):
+        v = mp.erfc(x)._mpf_
+    return mp.libmp.to_int(mp.libmp.mpf_shift(v, wp), "n")
 
 
 def _mollified_indicator_monomials(c, sigma, degree):
@@ -187,19 +207,23 @@ def _mollified_indicator_monomials(c, sigma, degree):
 
     The reflection kills the spurious half-weight that a plain mollified
     step would place on the point mass-free region u < 0, so F(0) comes out
-    ~0 instead of ~sqrt(sigma).  Runs under the caller's mp context.
+    ~0 instead of ~sqrt(sigma).  Returns (a, wp): the coefficients are the
+    integers a_j in units of 2^-wp, wp = mp.prec + 32, each exact sum of
+    fixed-point node values and cosines.
     """
-    nodes, cos_rows, int_rows = _chebyshev_tables(degree, mp.mp.prec)
+    wp = mp.mp.prec + 32
+    nodes, cos_rows, int_rows = _chebyshev_tables(degree, wp)
     M = len(nodes)
-    rt2s = mp.sqrt(2) * sigma
-    fv = [(_erfc((u - c) / rt2s) - _erfc((u + c) / rt2s)) / 2 for u in nodes]
-    b = [mp.fdot(fv, row) * (2 if m else 1) / M for m, row in enumerate(cos_rows)]
+    with mp.workprec(wp):
+        rt2s = mp.sqrt(2) * sigma
+        fv = [(_erfc_fixed((u - c) / rt2s, wp) - _erfc_fixed((u + c) / rt2s, wp)) >> 1 for u in nodes]
+    b = [(sum(map(operator.mul, fv, row)) >> wp) * (2 if m else 1) // M for m, row in enumerate(cos_rows)]
     # sum_m b_m T_m(2u - 1) in powers of u
-    a = [mp.mpf(0)] * (degree + 1)
+    a = [0] * (degree + 1)
     for bm, row in zip(b, int_rows):
         for j, cj in enumerate(row):
             a[j] += bm * cj
-    return a
+    return a, wp
 
 
 def ball_volume_from_moments(
@@ -218,9 +242,16 @@ def ball_volume_from_moments(
     support strictly inside the approximation interval, where the projection
     error is controlled.  Clamped to [0, 1].
 
+    ``dmax`` must be finite and positive (``ValueError``).  A measure on
+    [0, B] has scaled moments r_{2j} / B^j non-increasing in j, so
+    ``FitFailure`` is raised when they increase: ``dmax`` then understates
+    the support and the pairing would return a clamped guess.  The check is
+    necessary, not sufficient: dmax = 2.95 on the circle (diameter pi)
+    passes it.
+
     Each moment carries at least its storage rounding (10^-dps relative for
     exact mp_values, 2^-52 for float64), so the error bound is amplification
-    times that rounding; ``FitFailure`` is raised when it exceeds
+    times that rounding; ``FitFailure`` is raised unless it is at most
     ``PAIRING_TOL``.  ``full_output`` adds the bound to the info dict.
     """
     if degree < 1:
@@ -229,6 +260,8 @@ def ball_volume_from_moments(
         raise ValueError(f"degree {degree} exceeds available moments (K={spec.K})")
     if dmax is None:
         dmax = diameter_estimate(spec).value
+    if not (math.isfinite(dmax) and dmax > 0):
+        raise ValueError(f"dmax must be finite and positive, got {dmax}")
     if not 0.0 <= R <= dmax * (1.0 + 1e-9):
         raise ValueError(f"R must lie in [0, {dmax}]")
     dps = 50 + 2 * degree
@@ -238,15 +271,18 @@ def ball_volume_from_moments(
             mom = [spec.mp_values[j] / B**j for j in range(degree + 1)]
         else:
             mom = [mp.mpf(float(spec.values[j])) / B**j for j in range(degree + 1)]
+        if any(b > a for a, b in zip(mom, mom[1:])):
+            raise FitFailure(f"scaled moments r_2j/B^j rise with j: dmax {dmax:.6g} understates the support")
         c = mp.mpf(R) ** 2 / B
         sigma = mp.mpf(1) / (4 * degree)  # = (B/degree)/4 in u units
-        a = _mollified_indicator_monomials(c, sigma, degree)
-        F = mp.fsum(a[j] * mom[j] for j in range(degree + 1))
-        amplification = mp.fsum(abs(a[j]) * mom[j] for j in range(degree + 1))
+        a, wp = _mollified_indicator_monomials(c, sigma, degree)
+        fixed = [mp.libmp.to_fixed(m._mpf_, wp) for m in mom]
+        F = mp.ldexp(sum(map(operator.mul, a, fixed)), -2 * wp)
+        amplification = mp.ldexp(sum(map(operator.mul, map(abs, a), fixed)), -2 * wp)
         rounding = mp.mpf(10) ** -dps if spec.mp_values is not None else mp.mpf(2) ** -52
         error_bound = float(amplification * rounding)
         out = min(1.0, max(0.0, float(F)))
-    if error_bound > PAIRING_TOL:
+    if not error_bound <= PAIRING_TOL:
         raise FitFailure(
             f"degree {degree} pairing amplifies moment rounding by {float(amplification):.3g}: "
             f"error bound {error_bound:.3g} exceeds {PAIRING_TOL}"

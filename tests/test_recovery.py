@@ -1,8 +1,10 @@
+import functools
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from liesig import recovery
 from liesig.groups import CircleGroup, SU2Group, parse_group
@@ -176,11 +178,18 @@ def test_monomials_match_direct_formulation(degree):
     with mp.workdps(dps):
         sigma = mp.mpf(1) / (4 * degree)
         for c in ("0", "0.01", "0.5", "0.99"):
-            got = recovery._mollified_indicator_monomials(mp.mpf(c), sigma, degree)
+            a, wp = recovery._mollified_indicator_monomials(mp.mpf(c), sigma, degree)
+            got = [mp.ldexp(x, -wp) for x in a]
             want = reference_monomials(mp.mpf(c), sigma, degree)
             assert len(got) == len(want) == degree + 1
             scale = max(abs(x) for x in want)
             assert max(abs(g - w) for g, w in zip(got, want)) <= mp.mpf(10) ** -(dps - 20) * scale
+
+
+def direct_monomials_fixed(c, sigma, degree):
+    # reference_monomials rounded to the fixed-point seam's units
+    wp = mp.mp.prec + 32
+    return [mp.libmp.to_fixed(x._mpf_, wp) for x in reference_monomials(c, sigma, degree)], wp
 
 
 @pytest.mark.parametrize("group", ["circle", "su2"])
@@ -192,8 +201,123 @@ def test_moment_cdf_bitwise_equal_to_direct_formulation(monkeypatch, group):
     )
     radii = [float(R) for R in np.linspace(0.1 * PI, 0.9 * PI, 8)]
     got = [ball_volume_from_moments(spec, R, 40, dmax=PI) for R in radii]
-    monkeypatch.setattr(recovery, "_mollified_indicator_monomials", reference_monomials)
+    monkeypatch.setattr(recovery, "_mollified_indicator_monomials", direct_monomials_fixed)
     assert got == [ball_volume_from_moments(spec, R, 40, dmax=PI) for R in radii]
+
+
+@functools.lru_cache(maxsize=None)
+def reference_tables(degree, prec):
+    # mpf nodes and cosine rows from one table of 4M entries, as the pairing
+    # built them before it moved to fixed point
+    M = 2 * degree + 33
+    with mp.workprec(prec):
+        quarter = [mp.cos(mp.pi * k / (2 * M)) for k in range(M)] + [mp.mpf(0)]
+        half = quarter + [-quarter[k] for k in range(M - 1, -1, -1)]
+        table = half + half[2 * M - 1 : 0 : -1]
+        nodes = [(1 + table[2 * j + 1]) / 2 for j in range(M)]
+    cos_rows = [[table[m * (2 * j + 1) % (4 * M)] for j in range(M)] for m in range(degree + 1)]
+    int_rows = [[1], [-1, 2]]
+    for _ in range(2, degree + 1):
+        prev, cur = int_rows[-2], int_rows[-1]
+        nxt = [0] + [4 * cj for cj in cur]
+        for j, cj in enumerate(cur):
+            nxt[j] -= 2 * cj
+        for j, cj in enumerate(prev):
+            nxt[j] -= cj
+        int_rows.append(nxt)
+    return nodes, cos_rows, int_rows
+
+
+@functools.lru_cache(maxsize=None)
+def reference_table_monomials(c, sigma, degree, prec):
+    # cached: spectra paired at the same R and dmax share c and sigma
+    nodes, cos_rows, int_rows = reference_tables(degree, prec)
+    M = len(nodes)
+    rt2s = mp.sqrt(2) * sigma
+
+    def erfc(x):
+        return 2 - mp.erfc(-x) if x < 0 else mp.erfc(x)
+
+    fv = [(erfc((u - c) / rt2s) - erfc((u + c) / rt2s)) / 2 for u in nodes]
+    b = [mp.fdot(fv, row) * (2 if m else 1) / M for m, row in enumerate(cos_rows)]
+    a = [mp.mpf(0)] * (degree + 1)
+    for bm, row in zip(b, int_rows):
+        for j, cj in enumerate(row):
+            a[j] += bm * cj
+    return a
+
+
+def reference_pairing(spec, R, degree, dmax=None, full_output=False):
+    """ball_volume_from_moments as an mpf computation throughout: mpf cosine
+    rows, mpmath erfc at the working precision, fdot and fsum."""
+    if dmax is None:
+        dmax = diameter_estimate(spec).value
+    dps = 50 + 2 * degree
+    with mp.workdps(dps):
+        B = (mp.mpf("1.05") * mp.mpf(dmax)) ** 2
+        if spec.mp_values is not None:
+            mom = [spec.mp_values[j] / B**j for j in range(degree + 1)]
+        else:
+            mom = [mp.mpf(float(spec.values[j])) / B**j for j in range(degree + 1)]
+        c = mp.mpf(R) ** 2 / B
+        sigma = mp.mpf(1) / (4 * degree)
+        a = reference_table_monomials(c, sigma, degree, mp.mp.prec)
+        F = mp.fsum(a[j] * mom[j] for j in range(degree + 1))
+        amplification = mp.fsum(abs(a[j]) * mom[j] for j in range(degree + 1))
+        rounding = mp.mpf(10) ** -dps if spec.mp_values is not None else mp.mpf(2) ** -52
+        error_bound = float(amplification * rounding)
+        out = min(1.0, max(0.0, float(F)))
+    if error_bound > recovery.PAIRING_TOL:
+        raise FitFailure(
+            f"degree {degree} pairing amplifies moment rounding by {float(amplification):.3g}: "
+            f"error bound {error_bound:.3g} exceeds {recovery.PAIRING_TOL}"
+        )
+    info = {
+        "domain": float(B),
+        "sigma_u": float(sigma),
+        "amplification": float(amplification),
+        "exact_moments": spec.mp_values is not None,
+        "dps": dps,
+        "error_bound": error_bound,
+    }
+    return (out, info) if full_output else out
+
+
+@pytest.fixture(scope="module")
+def grid_spectra():
+    return {
+        "circle": spectrum_closed_form(CircleGroup(), 60),
+        "su2": spectrum_quadrature(SU2Group(), 60, nodes=128),
+        "float_circle": spectrum_monte_carlo(CircleGroup(), 60, 10**5, seed=0),
+    }
+
+
+def pairing_outcome(pair, *args):
+    # F and every info value as bit patterns, or the refusal's text
+    try:
+        F, info = pair(*args, full_output=True)
+    except FitFailure as exc:
+        return "FitFailure", str(exc)
+    return F.hex(), {k: v.hex() if isinstance(v, float) else v for k, v in info.items()}
+
+
+@pytest.mark.parametrize("degree", [1, 2, 5, 11, 12, 24, 30, 40, 60])
+def test_moment_cdf_bitwise_equal_to_mpf_pairing(grid_spectra, degree):
+    # R on the 12-point table grid and the benchmark's 8 radii, dmax = pi,
+    # plus the default dmax (the diameter estimate) at pi / 2
+    radii = [float(R) for R in np.linspace(0, PI, 12)]
+    radii += [float(R) for R in np.linspace(0.1 * PI, 0.9 * PI, 8)]
+    calls = [(R, PI) for R in radii] + [(PI / 2, None)]
+    refused = 0
+    for spec in grid_spectra.values():
+        for R, dmax in calls:
+            want = pairing_outcome(reference_pairing, spec, R, degree, dmax)
+            assert pairing_outcome(ball_volume_from_moments, spec, R, degree, dmax) == want
+            refused += want[0] == "FitFailure"
+    # from degree 30 the float64 spectrum is refused at every R but 0, where
+    # every node value and so the amplification is 0
+    if degree >= 30:
+        assert refused == len(calls) - 1
 
 
 def test_moment_cdf_float_spectrum_guard():
@@ -221,6 +345,57 @@ def test_moment_cdf_degree_check():
         ball_volume_from_moments(spec, 1.0, 11)
     with pytest.raises(ValueError):
         ball_volume_from_moments(spec, -0.5, 5)
+
+
+@pytest.mark.parametrize("dmax", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+def test_moment_cdf_refuses_bad_dmax(dmax):
+    spec = spectrum_closed_form(CircleGroup(), 30)
+    with pytest.raises(ValueError, match="dmax must be finite and positive"):
+        ball_volume_from_moments(spec, 0.5, 30, dmax=dmax)
+
+
+@pytest.mark.parametrize("dmax", [1.0, 2.0, 2.8])
+def test_moment_cdf_refuses_dmax_below_support(dmax):
+    # the circle's support is [0, pi]; these once returned 0.0 or 1.0 for
+    # the true F(0.5) = 0.159, with error bounds below 1e-60
+    spec = spectrum_closed_form(CircleGroup(), 30)
+    with pytest.raises(FitFailure, match="understates the support"):
+        ball_volume_from_moments(spec, 0.5, 30, dmax=dmax)
+
+
+def test_moment_cdf_refuses_unordered_error_bound(monkeypatch):
+    # a NaN error bound must be refused: the check is "bound <= tolerance"
+    spec = spectrum_closed_form(CircleGroup(), 30)
+    monkeypatch.setattr(recovery, "PAIRING_TOL", math.nan)
+    with pytest.raises(FitFailure, match="error bound"):
+        ball_volume_from_moments(spec, 0.5, 30, dmax=PI)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    wp=st.sampled_from([100, 208, 330, 600]),
+    x=st.one_of(
+        st.floats(-40, 40),
+        st.floats(2, 21),
+        st.floats(-1e-3, 1e-3),
+        st.sampled_from([0.0, -0.0, 5e-324]),
+    ),
+)
+@example(wp=600, x=0.0)
+def test_erfc_fixed_absolute_accuracy(wp, x):
+    got = recovery._erfc_fixed(mp.mpf(x), wp)
+    with mp.workprec(2 * wp):
+        assert abs(got - mp.ldexp(mp.erfc(x), wp)) <= 1
+
+
+@pytest.mark.parametrize("wp", [100, 208, 600])
+@pytest.mark.parametrize("side", [1, -1])
+def test_erfc_fixed_around_saturation(wp, side):
+    # half-bit steps of x^2 log2(e) through the saturation point wp + 8
+    for t in np.arange(wp - 24, wp + 24.5, 0.5):
+        x = mp.mpf(side * math.sqrt(t / math.log2(math.e)))
+        with mp.workprec(2 * wp):
+            assert abs(recovery._erfc_fixed(x, wp) - mp.ldexp(mp.erfc(x), wp)) <= 1
 
 
 # -- empirical ball volume ------------------------------------------------------------
