@@ -9,8 +9,9 @@ Subcommands:
                -> dimension / volume / scalar curvature
   verify    -- run the acceptance checks and print a pass/fail table
 
-Outputs are JSON (default) or CSV, written to stdout or --output.  Every
-output embeds the full effective configuration, so seeded runs are
+Each subcommand takes only the flags it reads.  Outputs are JSON (default)
+or CSV, written to stdout or --output.  Every output embeds the flags its
+command reads, all but --output and --threads, so seeded runs are
 reproducible byte for byte regardless of --threads.  The environment
 variable LIESIG_OUTPUT_DIR redirects relative --output paths (and nothing
 else).  JSON is the text of json.dumps(payload, sort_keys=True, indent=2),
@@ -35,7 +36,6 @@ import os
 import re
 import sys
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -49,55 +49,38 @@ from .average import (
 from .groups import parse_group
 from .recovery import AmbiguousDimension, FitFailure, recover
 from .spectra import spectrum_closed_form, spectrum_monte_carlo, spectrum_quadrature
-from .tensor import BudgetError
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main", "build_parser"]
 
-DEFAULTS = dict(depth=16, half_depth=8, samples=10**6, nodes=64, seed=0, threads=1)
-
-
-@dataclass
-class RunConfig:
-    group: str
-    method: str
-    depth: int = DEFAULTS["depth"]
-    half_depth: int = DEFAULTS["half_depth"]
-    samples: int = DEFAULTS["samples"]
-    seed: int = DEFAULTS["seed"]
-    nodes: int = DEFAULTS["nodes"]
-    threads: int = DEFAULTS["threads"]
-    scheme: str = "qmc"
-    output: str | None = None
-    format: str = "json"
-
-    def validate(self):
-        if self.samples < 1:
-            raise ConfigError("samples must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be a non-negative integer")
-        if self.format not in ("json", "csv"):
-            raise ConfigError("format must be json or csv")
-        if self.depth < 0 or self.half_depth < 0:
-            raise ConfigError("depths must be non-negative")
-        if 2 * self.half_depth > self.depth:
-            raise ConfigError("half-depth K must satisfy 2K <= depth")
-        if self.nodes < 1:
-            raise ConfigError("nodes must be >= 1")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
+# flag -> argparse keywords; each default is stated here and nowhere else
+_FLAGS = {
+    "group": dict(required=True, help="circle | su2 | torus:<k> | product:<a>,<b>,..."),
+    "depth": dict(type=int, default=16, help="tensor truncation depth N (default %(default)s)"),
+    "half_depth": dict(type=int, default=8, help="spectrum half-depth K (default %(default)s)"),
+    "samples": dict(type=int, default=10**6),
+    "seed": dict(type=int, default=0),
+    "nodes": dict(type=int, default=64),
+    "threads": dict(type=int, default=1),
+    "scheme": dict(default="qmc", choices=["qmc", "iid"],
+                   help="sampling scheme for the recovery CDF"),
+    "output": dict(default=None),
+    "format": dict(default="json", choices=["json", "csv"]),
+}
+# least value of each integer flag and the error a smaller one gets, in checking order
+_LEAST = {
+    "samples": (1, "samples must be >= 1"),
+    "seed": (0, "seed must be a non-negative integer"),
+    "depth": (0, "depths must be non-negative"),
+    "half_depth": (0, "depths must be non-negative"),
+    "nodes": (1, "nodes must be >= 1"),
+    "threads": (1, "threads must be >= 1"),
+}
 
 
-class ConfigError(ValueError):
-    pass
-
-
-def _provenance(cfg: RunConfig) -> dict:
+def _provenance(args: argparse.Namespace) -> dict:
     # threads and output location affect execution only, never the numbers,
     # and byte-identical outputs across thread counts are part of the contract
-    d = asdict(cfg)
-    d.pop("output")
-    d.pop("threads")
-    return d
+    return {k: v for k, v in vars(args).items() if k not in ("command", "output", "threads")}
 
 
 # values formatted and written at once, so the text held stays a few MB
@@ -150,7 +133,8 @@ def _json_pieces(payload) -> Iterator[str]:
     yield parts[-1] + "\n"
 
 
-def _emit(cfg: RunConfig, result: dict, csv_rows: Callable[[], Iterable[list | str]]) -> None:
+def _emit(args: argparse.Namespace, result: dict,
+          csv_rows: Callable[[], Iterable[list | str]]) -> None:
     """Write the provenance and ``result`` as JSON, or ``csv_rows()`` as CSV.
 
     ``csv_rows`` is a callable returning an iterable of rows, so the rows
@@ -158,17 +142,17 @@ def _emit(cfg: RunConfig, result: dict, csv_rows: Callable[[], Iterable[list | s
     formatted.  A regular file is written next to ``--output`` and renamed
     onto it once complete, so a failed run leaves no partial document there.
     """
-    if cfg.format == "json":
-        pieces = _json_pieces({"config": _provenance(cfg), **result})
+    if args.format == "json":
+        pieces = _json_pieces({"config": _provenance(args), **result})
     else:
-        lines = [f"# {k}={v}" for k, v in sorted(_provenance(cfg).items())]
+        lines = [f"# {k}={v}" for k, v in sorted(_provenance(args).items())]
         rows = (row if isinstance(row, str) else ",".join(
             repr(x) if isinstance(x, float) else str(x) for x in row) for row in csv_rows())
         pieces = (line + "\n" for part in (lines, rows) for line in part)
-    if not cfg.output:
+    if not args.output:
         sys.stdout.writelines(pieces)
         return
-    path = Path(cfg.output)
+    path = Path(args.output)
     if not path.is_absolute():
         path = Path(os.environ.get("LIESIG_OUTPUT_DIR", ".")) / path
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -187,18 +171,24 @@ def _emit(cfg: RunConfig, result: dict, csv_rows: Callable[[], Iterable[list | s
         raise
 
 
-def _cmd_average(cfg: RunConfig) -> int:
-    model = parse_group(cfg.group)
-    if cfg.method == "closed_form":
-        res = average_closed_form(model, cfg.depth)
-    elif cfg.method == "quadrature":
-        res = average_quadrature(model, cfg.depth, cfg.nodes)
-    elif cfg.method == "monte_carlo":
-        res = average_monte_carlo(model, cfg.depth, cfg.samples, cfg.seed, threads=cfg.threads)
-    elif cfg.method == "product_shuffle":
-        res = average_product(model, cfg.depth, cfg.nodes)
-    else:
-        raise ConfigError(f"unknown average method {cfg.method!r}")
+# method -> builder from the group model and the parsed flags
+_AVERAGE_METHODS = {
+    "closed_form": lambda model, a: average_closed_form(model, a.depth),
+    "quadrature": lambda model, a: average_quadrature(model, a.depth, a.nodes),
+    "monte_carlo": lambda model, a: average_monte_carlo(model, a.depth, a.samples, a.seed,
+                                                        threads=a.threads),
+    "product_shuffle": lambda model, a: average_product(model, a.depth, a.nodes),
+}
+_SPECTRUM_METHODS = {
+    "closed_form": lambda model, a: spectrum_closed_form(model, a.half_depth),
+    "quadrature": lambda model, a: spectrum_quadrature(model, a.half_depth, a.nodes),
+    "monte_carlo": lambda model, a: spectrum_monte_carlo(model, a.half_depth, a.samples, a.seed,
+                                                         threads=a.threads),
+}
+
+
+def _cmd_average(args: argparse.Namespace) -> int:
+    res = _AVERAGE_METHODS[args.method](parse_group(args.group), args)
 
     def rows():
         yield ["kind", "level", "index", "value"]
@@ -209,20 +199,12 @@ def _cmd_average(cfg: RunConfig) -> int:
             for k, s in enumerate(res.stderr_per_level):
                 yield ["stderr_level", k, 0, float(s)]
 
-    _emit(cfg, {"result": res.to_json_dict()}, rows)
+    _emit(args, {"result": res.to_json_dict()}, rows)
     return 0
 
 
-def _cmd_spectrum(cfg: RunConfig) -> int:
-    model = parse_group(cfg.group)
-    if cfg.method == "closed_form":
-        spec = spectrum_closed_form(model, cfg.half_depth)
-    elif cfg.method == "quadrature":
-        spec = spectrum_quadrature(model, cfg.half_depth, cfg.nodes)
-    elif cfg.method == "monte_carlo":
-        spec = spectrum_monte_carlo(model, cfg.half_depth, cfg.samples, cfg.seed, threads=cfg.threads)
-    else:
-        raise ConfigError(f"unknown spectrum method {cfg.method!r}")
+def _cmd_spectrum(args: argparse.Namespace) -> int:
+    spec = _SPECTRUM_METHODS[args.method](parse_group(args.group), args)
 
     def rows():
         yield ["kind", "k", "value"]
@@ -232,21 +214,33 @@ def _cmd_spectrum(cfg: RunConfig) -> int:
             for k, s in enumerate(spec.stderr):
                 yield ["stderr", k, float(s)]
 
-    _emit(cfg, {"result": spec.to_json_dict()}, rows)
+    _emit(args, {"result": spec.to_json_dict()}, rows)
     return 0
 
 
-def _cmd_recover(cfg: RunConfig) -> int:
-    model = parse_group(cfg.group)
+def _cmd_recover(args: argparse.Namespace) -> int:
+    model = parse_group(args.group)
     try:
-        report = recover(model, samples=cfg.samples, seed=cfg.seed, K=cfg.half_depth,
-                         threads=cfg.threads, scheme=cfg.scheme)
+        report = recover(model, samples=args.samples, seed=args.seed, K=args.half_depth,
+                         threads=args.threads, scheme=args.scheme)
     except (AmbiguousDimension, FitFailure) as exc:
-        _emit(cfg, {"error": str(exc), "result": None},
+        _emit(args, {"error": str(exc), "result": None},
               lambda: [["kind", "index", "x", "value"], ["error", 0, 0.0, str(exc)]])
         return 3
-    _emit(cfg, {"result": report.to_json_dict()}, report.csv_rows)
+    _emit(args, {"result": report.to_json_dict()}, report.csv_rows)
     return 0
+
+
+# command -> (help, handler, method table, the flags it takes); the output's
+# config holds those flags but --output and --threads
+_COMMANDS = {
+    "average": ("average signature tensor", _cmd_average, _AVERAGE_METHODS,
+                "group method depth samples seed nodes threads output format"),
+    "spectrum": ("rescaled trace spectrum", _cmd_spectrum, _SPECTRUM_METHODS,
+                 "group method half_depth samples seed nodes threads output format"),
+    "recover": ("recover geometric invariants", _cmd_recover, None,
+                "group half_depth samples seed threads scheme output format"),
+}
 
 
 def _cmd_verify(criteria) -> int:
@@ -267,30 +261,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="liesig", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, methods=None):
-        sp.add_argument("--group", required=True,
-                        help="circle | su2 | torus:<k> | product:<a>,<b>,...")
-        if methods:
-            sp.add_argument("--method", default=methods[0], choices=methods)
-        sp.add_argument("--depth", type=int, default=None,
-                        help=f"tensor truncation depth N (default {DEFAULTS['depth']})")
-        sp.add_argument("--half-depth", type=int, default=None,
-                        help=f"spectrum half-depth K, 2K <= N (default {DEFAULTS['half_depth']})")
-        sp.add_argument("--samples", type=int, default=DEFAULTS["samples"])
-        sp.add_argument("--seed", type=int, default=DEFAULTS["seed"])
-        sp.add_argument("--nodes", type=int, default=DEFAULTS["nodes"])
-        sp.add_argument("--threads", type=int, default=DEFAULTS["threads"])
-        sp.add_argument("--scheme", default="qmc", choices=["qmc", "iid"],
-                        help="sampling scheme for the recovery CDF")
-        sp.add_argument("--output", default=None)
-        sp.add_argument("--format", default="json", choices=["json", "csv"])
-
-    common(sub.add_parser("average", help="average signature tensor"),
-           ["closed_form", "quadrature", "monte_carlo", "product_shuffle"])
-    common(sub.add_parser("spectrum", help="rescaled trace spectrum"),
-           ["closed_form", "quadrature", "monte_carlo"])
-    common(sub.add_parser("recover", help="recover geometric invariants"))
+    for name, (help_, _, methods, flags) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_)
+        for flag in flags.split():
+            kwargs = (dict(default=next(iter(methods)), choices=list(methods))
+                      if flag == "method" else _FLAGS[flag])
+            sp.add_argument("--" + flag.replace("_", "-"), **kwargs)
     v = sub.add_parser("verify", help="run the acceptance suite")
     v.add_argument("criteria", nargs="*", type=int,
                    help="criterion numbers to run (default: all)")
@@ -301,20 +277,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "verify":
         return _cmd_verify(args.criteria or None)
-    # defaults adapt so 2K <= N holds unless both were forced by hand
-    depth, half_depth = args.depth, args.half_depth
-    if depth is None:
-        depth = DEFAULTS["depth"] if half_depth is None else max(DEFAULTS["depth"], 2 * half_depth)
-    if half_depth is None:
-        half_depth = min(DEFAULTS["half_depth"], depth // 2)
-    # the parser's destinations are named after RunConfig's fields; recover has no --method
-    given = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
-    cfg = RunConfig(**{"method": "monte_carlo", **given, "depth": depth, "half_depth": half_depth})
-    commands = {"average": _cmd_average, "spectrum": _cmd_spectrum, "recover": _cmd_recover}
     try:
-        cfg.validate()
-        return commands[args.command](cfg)
-    except (ConfigError, BudgetError, ValueError) as exc:
+        for flag, (least, message) in _LEAST.items():
+            if getattr(args, flag, least) < least:
+                raise ValueError(message)
+        return _COMMANDS[args.command][1](args)
+    except ValueError as exc:  # BudgetError and the library's refusals among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

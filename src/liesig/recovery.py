@@ -51,7 +51,7 @@ from scipy.special import gammaln
 from scipy.stats import qmc
 
 from .groups import map_chunks, stream
-from .spectra import TraceSpectrum, spectrum_monte_carlo
+from .spectra import IID_CHUNK, TraceSpectrum, spectrum_monte_carlo
 
 __all__ = [
     "AmbiguousDimension",
@@ -69,7 +69,6 @@ __all__ = [
 ]
 
 QMC_CHUNK = 1 << 21
-IID_CHUNK = 1 << 16
 # largest error bound a moment pairing may carry (criterion 7's tolerance)
 PAIRING_TOL = 0.02
 # fixed settings of the diameter fit, the small-ball fit and the F(R) table

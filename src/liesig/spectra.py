@@ -38,6 +38,10 @@ __all__ = [
     "su2_radial_integrals_mp",
 ]
 
+# draws per chunk of the iid stream; recovery's iid radial CDF lays out the
+# same chunks, so chunk c of either holds the same draws
+IID_CHUNK = 1 << 16
+
 
 @dataclass(frozen=True)
 class TraceSpectrum:
@@ -58,6 +62,10 @@ class TraceSpectrum:
         v = np.ascontiguousarray(self.values, dtype=np.float64)
         if v.shape != (self.K + 1,):
             raise ValueError("expected K+1 spectrum values")
+        if self.mp_values is not None and len(self.mp_values) != self.K + 1:
+            raise ValueError("expected K+1 mp_values")
+        if self.stderr is not None and np.shape(self.stderr) != (self.K + 1,):
+            raise ValueError("expected K+1 stderr values")
         if abs(v[0] - 1.0) > 1e-12:
             raise ValueError("r_0 must equal 1")
         _require_finite(v, "r_2k")
@@ -130,13 +138,12 @@ def spectrum_monte_carlo(
     samples: int,
     seed: int,
     threads: int = 1,
-    chunk: int = 1 << 16,
 ) -> TraceSpectrum:
     """Spectrum as empirical moments of d(e, g)^2 over chunked Haar draws.
 
-    Chunk c uses stream(seed, c), exactly like the tensor Monte Carlo; pass
-    ``chunk=mc_chunk_size(dim, 2K)`` to replay the identical sample stream
-    that ``average_monte_carlo`` at depth 2K consumes.
+    Chunk c takes ``IID_CHUNK`` draws from stream(seed, c), as the tensor
+    Monte Carlo does in chunks of ``mc_chunk_size``; where the two sizes
+    agree, both read the identical sample stream.
     """
 
     def chunk_sums(c, _start, size):
@@ -151,7 +158,7 @@ def spectrum_monte_carlo(
 
     tot = np.zeros(K + 1)
     tsq = np.zeros(K + 1)
-    for s, q in map_chunks(chunk_sums, samples, chunk, threads):
+    for s, q in map_chunks(chunk_sums, samples, IID_CHUNK, threads):
         tot += s
         tsq += q
     # sums of d^4k overflow first at high k; TraceSpectrum refuses the

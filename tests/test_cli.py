@@ -3,6 +3,7 @@ import json
 import math
 import os
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,11 +123,99 @@ def test_config_error_budget(capsys):
     assert code == 2
 
 
+# the flags each command reads; its output's config holds all but output and threads
+COMMAND_FLAGS = {
+    "average": {"group", "method", "depth", "samples", "seed", "nodes", "threads", "output",
+                "format"},
+    "spectrum": {"group", "method", "half_depth", "samples", "seed", "nodes", "threads",
+                 "output", "format"},
+    "recover": {"group", "half_depth", "samples", "seed", "threads", "scheme", "output",
+                "format"},
+}
+
+
 def test_config_error_bad_values(capsys):
-    assert main(["average", "--group", "circle", "--method", "closed_form",
-                 "--samples", "0"]) == 2
-    assert main(["average", "--group", "circle", "--method", "closed_form",
-                 "--seed", "-1"]) == 2
+    bad = {
+        "samples": ("0", "samples must be >= 1"),
+        "seed": ("-1", "seed must be a non-negative integer"),
+        "depth": ("-1", "depths must be non-negative"),
+        "half_depth": ("-1", "depths must be non-negative"),
+        "nodes": ("0", "nodes must be >= 1"),
+        "threads": ("0", "threads must be >= 1"),
+    }
+    checked = 0
+    for command, flags in COMMAND_FLAGS.items():
+        for flag in flags & bad.keys():
+            value, message = bad[flag]
+            argv = [command, "--group", "circle", "--" + flag.replace("_", "-"), value]
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+            checked += 1
+    assert checked == 14
+
+
+@pytest.mark.parametrize("argv", [
+    ["average", "--group", "circle", "--depth", "4"],
+    ["spectrum", "--group", "circle", "--half-depth", "4"],
+    ["recover", "--group", "circle", "--samples", "50000", "--seed", "5", "--half-depth", "6"],
+], ids=lambda a: a[0])
+def test_config_holds_the_flags_the_command_reads(argv, tmp_path):
+    flags = COMMAND_FLAGS[argv[0]]
+    assert set(vars(cli.build_parser().parse_args(argv))) == flags | {"command"}
+    _, pj = run(argv, tmp_path, "json")
+    _, pc = run(argv + ["--format", "csv"], tmp_path, "csv")
+    config = json.loads(pj.read_text())["config"]
+    assert set(config) == flags - {"output", "threads"}
+    comments = [l[2:] for l in pc.read_text().splitlines() if l.startswith("# ")]
+    assert comments == [f"{k}={v}" for k, v in sorted(dict(config, format="csv").items())]
+
+
+@pytest.mark.parametrize("argv", [
+    ["average", "--group", "circle", "--half-depth", "2"],
+    ["average", "--group", "circle", "--scheme", "iid"],
+    ["spectrum", "--group", "circle", "--depth", "2"],
+    ["spectrum", "--group", "circle", "--scheme", "iid"],
+    ["recover", "--group", "circle", "--nodes", "8"],
+    ["recover", "--group", "circle", "--depth", "16"],
+    ["recover", "--group", "circle", "--method", "monte_carlo"],
+], ids=lambda a: a[0] + a[3])
+def test_flag_of_another_command_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"error: unrecognized arguments: {argv[3]} {argv[4]}" in capsys.readouterr().err
+
+
+def test_spectrum_half_depth_needs_no_depth(tmp_path):
+    code, path = run(["spectrum", "--group", "circle", "--method", "closed_form",
+                      "--half-depth", "300"], tmp_path)
+    assert code == 0
+    payload = json.loads(path.read_text())
+    assert payload["config"]["half_depth"] == 300 and "depth" not in payload["config"]
+    assert len(payload["result"]["rtr"]) == 301
+
+
+def test_readme_cli_examples_parse():
+    # every documented example and flag-table row names flags the parser takes
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    parser = cli.build_parser()
+    examples = [l.split("#")[0].split()[1:] for l in section.split("```")[1].splitlines()
+                if l.startswith("liesig ")]
+    assert len(examples) >= 6
+    for argv in examples:
+        parser.parse_args(argv)
+    rows = [[c.strip() for c in l.strip("|").split("|")] for l in section.splitlines()
+            if l.startswith("| `--")]
+    assert len(rows) == 11
+    for command, column in (("average", 2), ("spectrum", 3), ("recover", 4)):
+        flags = vars(parser.parse_args([command, "--group", "circle"]))
+        marked = {row[0].split("`")[1][2:].replace("-", "_") for row in rows if row[column]}
+        assert marked == COMMAND_FLAGS[command] == flags.keys() - {"command"}
+        for row in rows:
+            dest = row[0].split("`")[1][2:].replace("-", "_")
+            if row[column] and dest not in ("group", "output"):
+                assert row[1].strip("`") == str(flags[dest])
 
 
 @pytest.mark.parametrize("method,depth,code", [

@@ -295,6 +295,12 @@ def test_map_chunks_order_and_worker_cap():
     assert len(workers) <= min(os.cpu_count(), 3)
 
 
+@pytest.mark.parametrize("chunk", [0, -1])
+def test_map_chunks_rejects_bad_chunk(chunk):
+    with pytest.raises(ValueError, match="chunk must be >= 1"):
+        list(map_chunks(lambda c, start, size: size, 100, chunk))
+
+
 def test_cut_tolerance_constant():
     assert CUT_TOLERANCE == 1e-9
 

@@ -522,3 +522,11 @@ def test_recover_product_dimension_additivity():
     rep = recover(parse_group("product:circle,su2"), samples=4 * 10**6, seed=7, K=8)
     assert rep.dimension == 4
     assert abs(rep.dimension_raw - rep.dimension) <= 0.2  # report invariant
+
+
+def test_iid_radii_read_the_spectrum_stream():
+    # the iid CDF and the Monte Carlo spectrum share IID_CHUNK, so they draw
+    # the same samples: the mean squared radius is the spectrum's r_2
+    radii = recovery._radii(SU2Group(), 200_001, 5, "iid", 1)
+    r2 = spectrum_monte_carlo(SU2Group(), 1, 200_001, 5).values[1]
+    assert np.mean(radii**2) == pytest.approx(r2, rel=1e-13, abs=0.0)

@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from liesig import spectra
 from liesig.average import average_monte_carlo, average_quadrature, mc_chunk_size
 from liesig.groups import CircleGroup, SU2Group, parse_group, su2_radial_integrals_mp
 from liesig.spectra import (
@@ -50,6 +51,22 @@ def test_non_finite_values_refused(bad):
         TraceSpectrum(np.array([1.0, 3.0, bad, bad]), 3)
     with pytest.raises(ValueError, match="non-finite stderr at k = 1"):
         TraceSpectrum(np.array([1.0, 3.0, 9.0]), 2, stderr=np.array([0.0, bad, 0.1]))
+
+
+def test_mp_values_and_stderr_lengths_refused():
+    # a K = 12 spectrum with 5 mp values crashed the moment pairing, and its
+    # 3 standard errors went into the payload
+    exact = spectrum_closed_form(CircleGroup(), 12)
+    for n in (5, 12, 14):
+        with pytest.raises(ValueError, match="expected K\\+1 mp_values"):
+            TraceSpectrum(exact.values, 12, mp_values=(exact.mp_values * 2)[:n])
+    for n in (3, 12, 14):
+        with pytest.raises(ValueError, match="expected K\\+1 stderr values"):
+            TraceSpectrum(exact.values, 12, stderr=np.zeros(n))
+    with pytest.raises(ValueError, match="expected K\\+1 stderr values"):
+        TraceSpectrum(exact.values, 12, stderr=np.zeros((13, 1)))
+    ok = TraceSpectrum(exact.values, 12, mp_values=exact.mp_values, stderr=np.zeros(13))
+    assert len(ok.to_json_dict()["stderr"]) == 13
 
 
 def test_product_spectrum_convolution():
@@ -113,15 +130,14 @@ def test_mc_spectrum_r0_and_stderr():
     assert np.all(z <= 4.0)
 
 
-def test_moment_duality_same_stream():
+def test_moment_duality_same_stream(monkeypatch):
     # tensor route and moment route must be the same sums rearranged
     model = SU2Group()
     N, K, samples, seed = 6, 3, 10**5, 8
     avg = average_monte_carlo(model, N, samples, seed)
     tensor_route = rtr_spectrum(avg, K).values
-    moment_route = spectrum_monte_carlo(
-        model, K, samples, seed, chunk=mc_chunk_size(model.dim, N)
-    ).values
+    monkeypatch.setattr(spectra, "IID_CHUNK", mc_chunk_size(model.dim, N))
+    moment_route = spectrum_monte_carlo(model, K, samples, seed).values
     assert np.allclose(tensor_route, moment_route, rtol=1e-12, atol=0.0)
 
 
@@ -139,10 +155,9 @@ def test_mc_spectrum_threads_bitwise():
     assert np.array_equal(a.stderr, b.stderr)
 
 
-@pytest.mark.parametrize("samples, chunk", [(100, 0), (100, -1), (0, 1 << 16)])
-def test_mc_spectrum_rejects_bad_chunk(samples, chunk):
-    with pytest.raises(ValueError):
-        spectrum_monte_carlo(CircleGroup(), 2, samples, seed=0, chunk=chunk)
+def test_mc_spectrum_rejects_no_samples():
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        spectrum_monte_carlo(CircleGroup(), 2, 0, seed=0)
 
 
 def test_log_convexity_exact_spectra():
