@@ -12,12 +12,8 @@ command line tool.
 from .tensor import (
     TruncatedTensorSeries,
     BudgetError,
-    unit_series,
     exp_tensor,
     concat_product,
-    shuffle_product,
-    pair,
-    hilbert_norm,
     hilbert_distance,
     trace_level,
 )
@@ -32,7 +28,6 @@ from .groups import (
 from .paths import (
     SampledPath,
     MeshError,
-    geodesic_signature,
     path_signature_numeric,
     sample_curve,
 )

@@ -24,8 +24,8 @@ CSV column layouts:
   recover:  kind,index,x,value       (kind: F_table | diameter_raw)
 Comment lines starting with '#' carry the provenance key=value pairs.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure (fit
-failures still write their diagnostic payload).
+Exit codes: 0 success, 2 configuration error or unwritable --output, 3
+numerical failure (fit failures still write their diagnostic payload).
 """
 
 from __future__ import annotations
@@ -155,20 +155,23 @@ def _emit(args: argparse.Namespace, result: dict,
     path = Path(args.output)
     if not path.is_absolute():
         path = Path(os.environ.get("LIESIG_OUTPUT_DIR", ".")) / path
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if path.is_symlink() or path.exists() and not path.is_file():
-        # a link (/dev/stdout is one), a pipe or a device is written through, never replaced
-        with open(path, "w") as out:
-            out.writelines(pieces)
-        return
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w") as out:
-            out.writelines(pieces)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if path.is_symlink() or path.exists() and not path.is_file():
+            # a link (/dev/stdout is one), a pipe or a device is written through, never replaced
+            with open(path, "w") as out:
+                out.writelines(pieces)
+            return
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        try:
+            with open(tmp, "w") as out:
+                out.writelines(pieces)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:  # an unwritable --output is a configuration error
+        raise ValueError(f"cannot write --output: {exc}") from exc
 
 
 # method -> builder from the group model and the parsed flags
@@ -244,8 +247,12 @@ _COMMANDS = {
 
 
 def _cmd_verify(criteria) -> int:
-    from .acceptance import run_acceptance
+    from .acceptance import CRITERIA, run_acceptance
 
+    numbers = [num for num, _, _ in CRITERIA]
+    for num in criteria or ():
+        if num not in numbers:
+            raise ValueError(f"unknown criterion {num}; criteria are {numbers[0]}-{numbers[-1]}")
     results = run_acceptance(criteria)
     width = max(len(r.name) for r in results)
     all_ok = True
@@ -257,10 +264,20 @@ def _cmd_verify(criteria) -> int:
     return 0 if all_ok else 3
 
 
+class _Subcommand(argparse.ArgumentParser):
+    """Refuses a flag its command does not take with that command's usage line."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error("unrecognized arguments: " + " ".join(extra))
+        return namespace, extra
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="liesig", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = p.add_subparsers(dest="command", required=True)
+    sub = p.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
     for name, (help_, _, methods, flags) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_)
         for flag in flags.split():
@@ -275,14 +292,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "verify":
-        return _cmd_verify(args.criteria or None)
     try:
+        if args.command == "verify":
+            return _cmd_verify(args.criteria or None)
         for flag, (least, message) in _LEAST.items():
             if getattr(args, flag, least) < least:
                 raise ValueError(message)
         return _COMMANDS[args.command][1](args)
-    except ValueError as exc:  # BudgetError and the library's refusals among them
+    except ValueError as exc:  # BudgetError, the library's refusals and --output among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

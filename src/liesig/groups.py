@@ -5,10 +5,12 @@ quaternions, and flat Riemannian products of those.  Each model exposes
 
   * ``exp`` / ``log`` between the Lie algebra (coordinates in a fixed
     orthonormal basis) and the group, with ``log`` principal and refusing
-    points within ``CUT_TOLERANCE`` of the cut locus of the identity,
+    points within ``CUT_TOLERANCE`` of the cut locus of the identity; the
+    identity is ``exp(0)`` and its distance to g is ``|log g|``,
   * group multiplication and inversion,
   * seeded Haar sampling, vectorised as ``sample_log_batch`` which returns
-    the algebra vectors v = log(g) of Haar draws directly,
+    the algebra vectors v = log(g) of Haar draws directly, and
+    ``distance_from_uniforms`` which maps uniforms to Haar distances,
   * the radial law of d = d(e, g) = |log g| and the direction of v/|v|,
     which is all the deterministic layers read:
     ``radial_moments(K, nodes)`` gives E[d^2k], k = 0..K, in float64 by
@@ -127,9 +129,6 @@ class CircleGroup:
     # number of uniforms consumed per distance-only draw
     radial_uniform_dim = 1
 
-    def identity(self):
-        return 0.0
-
     def exp(self, v) -> float:
         v = np.asarray(v, dtype=np.float64)
         if v.shape != (1,):
@@ -147,9 +146,6 @@ class CircleGroup:
 
     def inverse(self, a: float) -> float:
         return _wrap_angle(-float(a))
-
-    def distance(self, g: float) -> float:
-        return abs(_wrap_angle(float(g)))
 
     def sample_log_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
         theta = math.pi - _TWO_PI * rng.random(size)
@@ -344,9 +340,6 @@ class SU2Group:
     dim = 3
     radial_uniform_dim = 1
 
-    def identity(self):
-        return np.array([1.0, 0.0, 0.0, 0.0])
-
     def exp(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64)
         if v.shape != (3,):
@@ -382,10 +375,6 @@ class SU2Group:
         q = np.asarray(a, dtype=np.float64).copy()
         q[1:] = -q[1:]
         return q
-
-    def distance(self, g) -> float:
-        q = np.asarray(g, dtype=np.float64)
-        return math.atan2(float(np.linalg.norm(q[1:])), float(q[0]))
 
     def sample_log_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
         # radius by inverse CDF of (2/pi) sin^2 r; direction uniform on S^2
@@ -439,9 +428,6 @@ class ProductGroup:
             self._slices.append(slice(off, off + f.dim))
             off += f.dim
 
-    def identity(self):
-        return tuple(f.identity() for f in self.factors)
-
     def exp(self, v):
         v = np.asarray(v, dtype=np.float64)
         if v.shape != (self.dim,):
@@ -459,9 +445,6 @@ class ProductGroup:
 
     def inverse(self, a):
         return tuple(f.inverse(ai) for f, ai in zip(self.factors, a))
-
-    def distance(self, g) -> float:
-        return math.sqrt(sum(f.distance(gi) ** 2 for f, gi in zip(self.factors, g)))
 
     def sample_log_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
         out = np.empty((size, self.dim))

@@ -1,8 +1,8 @@
 """Signatures of group-valued paths.
 
-For a geodesic from the identity the signature is exactly the tensor
-exponential of the endpoint log.  General C^1 paths are handled by a
-chordal scheme: pull each sampled chord (g_i, g_{i+1}) back to the algebra
+For a geodesic from the identity to g the signature is exactly the tensor
+exponential of the endpoint log, ``exp_tensor(model.log(g), N)``.  General
+C^1 paths are handled by a chordal scheme: pull each sampled chord (g_i, g_{i+1}) back to the algebra
 increment u_i = log(g_i^{-1} g_{i+1}), take the exact signature
 exp_tensor(u_i) of the replacing geodesic chord, and Chen-multiply them in
 order, pairwise in a tree (the product is associative).  Chord signatures
@@ -19,14 +19,13 @@ from functools import reduce
 import numpy as np
 
 from .groups import CutLocusError
-from .tensor import TruncatedTensorSeries, _check_budget, concat_product, exp_tensor
+from .tensor import TruncatedTensorSeries, _check_budget, concat_product
 
 _BLOCK_COEFFS = 1 << 22  # chords are reduced in blocks of at most this many coefficients
 
 __all__ = [
     "SampledPath",
     "MeshError",
-    "geodesic_signature",
     "path_signature_numeric",
     "sample_curve",
 ]
@@ -55,11 +54,6 @@ class SampledPath:
         t.flags.writeable = False
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "points", tuple(self.points))
-
-
-def geodesic_signature(model, g, N: int) -> TruncatedTensorSeries:
-    """Signature of the minimizing geodesic from the identity to g."""
-    return exp_tensor(model.log(g), N)
 
 
 def chord_increments(path: SampledPath) -> list[np.ndarray]:

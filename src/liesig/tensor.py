@@ -3,10 +3,10 @@
 A series is stored densely: one contiguous float64 block per tensor level,
 with level k holding the n^k coefficients of the word basis
 e_{i_1} x ... x e_{i_k} in row-major multi-index order.  This is the home
-of signatures, their Haar averages, and everything algebraic done to them:
-the Chen (concatenation) product, the shuffle product, the tensorial
-exponential, the Hilbert inner product inherited from an orthonormal basis
-of R^n, and the pairwise-contraction trace.
+of signatures, their Haar averages, and what the pipeline does to them:
+the tensorial exponential, the Chen (concatenation) product, the shuffle
+of two levels, the pairwise-contraction trace, and the symmetric monomial
+expansion of a level.
 
 All values are immutable after construction and all operations are pure,
 so series can be shared freely across workers.
@@ -23,13 +23,9 @@ import numpy as np
 __all__ = [
     "TruncatedTensorSeries",
     "BudgetError",
-    "unit_series",
     "exp_tensor",
     "concat_product",
-    "shuffle_product",
     "shuffle_levels",
-    "pair",
-    "hilbert_norm",
     "hilbert_distance",
     "trace_level",
     "monomial_levels",
@@ -96,20 +92,6 @@ class TruncatedTensorSeries:
             arr.flags.writeable = False
             frozen.append(arr)
         object.__setattr__(self, "levels", tuple(frozen))
-
-    # -- sum and comparison, used by tests against the algebra's identities --
-
-    def __add__(self, other: "TruncatedTensorSeries") -> "TruncatedTensorSeries":
-        _check_compatible(self, other)
-        return TruncatedTensorSeries(
-            self.dim, self.depth, tuple(a + b for a, b in zip(self.levels, other.levels))
-        )
-
-    def allclose(self, other: "TruncatedTensorSeries", atol: float = 1e-12, rtol: float = 0.0) -> bool:
-        _check_compatible(self, other)
-        return all(
-            np.allclose(a, b, atol=atol, rtol=rtol) for a, b in zip(self.levels, other.levels)
-        )
 
     def to_json_dict(self) -> dict:
         return {"n": self.dim, "N": self.depth, "levels": list(self.levels)}
@@ -180,16 +162,6 @@ def _check_compatible(a: TruncatedTensorSeries, b: TruncatedTensorSeries) -> Non
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     if a.depth != b.depth:
         raise ValueError(f"depth mismatch: {a.depth} vs {b.depth}")
-
-
-def unit_series(n: int, N: int) -> TruncatedTensorSeries:
-    """Multiplicative identity: 1 at level 0, zero elsewhere."""
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    _check_budget(n, N)
-    levels = [np.zeros(n**k) for k in range(N + 1)]
-    levels[0][0] = 1.0
-    return TruncatedTensorSeries(n, N, tuple(levels))
 
 
 def exp_tensor(v: np.ndarray, N: int) -> TruncatedTensorSeries:
@@ -271,47 +243,8 @@ def _interleavings(p: int, q: int):
         yield slot_set, axes
 
 
-def shuffle_product(
-    a: TruncatedTensorSeries, b: TruncatedTensorSeries
-) -> TruncatedTensorSeries:
-    """Shuffle product, bilinear over the word basis; commutative and associative
-    up to the shared truncation depth."""
-    _check_compatible(a, b)
-    n, N = a.dim, a.depth
-    out = [np.zeros(n**k) for k in range(N + 1)]
-    for i, ai in enumerate(a.levels):
-        if not np.any(ai):
-            continue
-        for j in range(N + 1 - i):
-            bj = b.levels[j]
-            if not np.any(bj):
-                continue
-            out[i + j] += shuffle_levels(ai, i, bj, j, n)
-    return TruncatedTensorSeries(n, N, tuple(out))
-
-
-def pair(word: tuple[int, ...], x: TruncatedTensorSeries) -> float:
-    """Coefficient of the basis word e_{i_1} x ... x e_{i_k} in x.
-
-    Indices are 1-based (letters 1..n); the empty word pairs with level 0.
-    """
-    k = len(word)
-    if k > x.depth:
-        raise ValueError(f"word length {k} exceeds depth {x.depth}")
-    flat = 0
-    for i in word:
-        if not 1 <= i <= x.dim:
-            raise ValueError(f"letter {i} outside 1..{x.dim}")
-        flat = flat * x.dim + (i - 1)
-    return float(x.levels[k][flat])
-
-
-def hilbert_norm(x: TruncatedTensorSeries) -> float:
-    """Norm induced by declaring the word basis orthonormal at every level."""
-    return math.sqrt(sum(float(lv @ lv) for lv in x.levels))
-
-
 def hilbert_distance(a: TruncatedTensorSeries, b: TruncatedTensorSeries) -> float:
+    """Distance in the norm that takes the word basis as orthonormal at every level."""
     _check_compatible(a, b)
     return math.sqrt(
         sum(float(np.sum((x - y) ** 2)) for x, y in zip(a.levels, b.levels))

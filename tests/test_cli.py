@@ -183,7 +183,10 @@ def test_flag_of_another_command_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert f"error: unrecognized arguments: {argv[3]} {argv[4]}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # the usage line is the subcommand's, which lists the flags it does take
+    assert err.startswith(f"usage: liesig {argv[0]} [-h] --group GROUP")
+    assert err.endswith(f"liesig {argv[0]}: error: unrecognized arguments: {argv[3]} {argv[4]}\n")
 
 
 def test_spectrum_half_depth_needs_no_depth(tmp_path):
@@ -292,6 +295,14 @@ def test_verify_subset(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.count("[PASS]") == 2
+
+
+@pytest.mark.parametrize("criteria,first", [(["99"], 99), (["0", "-1"], 0), (["1", "12"], 12)])
+def test_verify_unknown_criterion_refused(criteria, first, capsys):
+    code = main(["verify", *criteria])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"error: unknown criterion {first}; criteria are 1-11\n"
 
 
 # -- JSON encoder and lazy CSV rows -------------------------------------------
@@ -555,6 +566,18 @@ def test_failed_write_leaves_output_untouched(fmt, existing, tmp_path, monkeypat
               "--format", fmt, "--output", str(path)])
     assert [p.name for p in tmp_path.iterdir()] == ([] if existing is None else ["out.dat"])
     assert existing is None or path.read_text() == existing
+
+
+@pytest.mark.parametrize("target", ["directory", "under a file"])
+def test_unwritable_output_exits_2(target, tmp_path, capsys):
+    # open() fails on the directory and mkdir() under the file, after the computation
+    (tmp_path / "file").write_text("old contents\n")
+    output = tmp_path if target == "directory" else tmp_path / "file" / "sub" / "out.json"
+    code = main(["spectrum", "--group", "circle", "--method", "closed_form", "--output", str(output)])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: cannot write --output: [Errno ") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+    assert (tmp_path / "file").read_text() == "old contents\n"
 
 
 def test_output_through_link_and_pipe(tmp_path):

@@ -11,13 +11,9 @@ from liesig.tensor import (
     concat_product,
     exp_tensor,
     expand_words,
-    hilbert_norm,
     monomial_levels,
-    pair,
     shuffle_levels,
-    shuffle_product,
     trace_level,
-    unit_series,
 )
 
 PI = math.pi
@@ -38,19 +34,35 @@ def word_series(word, n, N):
     return TruncatedTensorSeries(n, N, tuple(levels))
 
 
+def unit(n, N):
+    return exp_tensor(np.zeros(n), N)
+
+
+def coeff(word, x):
+    """Coefficient of a basis word (1-based letters) in x."""
+    flat = 0
+    for i in word:
+        flat = flat * x.dim + (i - 1)
+    return float(x.levels[len(word)][flat])
+
+
+def allclose(a, b, atol=1e-12, rtol=0.0):
+    assert (a.dim, a.depth) == (b.dim, b.depth)
+    return all(np.allclose(x, y, atol=atol, rtol=rtol) for x, y in zip(a.levels, b.levels))
+
+
+def shuffle_product(a, b):
+    """Shuffle product of two series up to their shared depth, a level pair at a time."""
+    assert (a.dim, a.depth) == (b.dim, b.depth)
+    n, N = a.dim, a.depth
+    out = [np.zeros(n**k) for k in range(N + 1)]
+    for i, ai in enumerate(a.levels):
+        for j in range(N + 1 - i):
+            out[i + j] += shuffle_levels(ai, i, b.levels[j], j, n)
+    return TruncatedTensorSeries(n, N, tuple(out))
+
+
 # -- construction and invariants ---------------------------------------------
-
-
-def test_unit_series_identity_values():
-    u = unit_series(1, 3)
-    assert [lv.tolist() for lv in u.levels] == [[1.0], [0.0], [0.0], [0.0]]
-    u0 = unit_series(3, 0)
-    assert u0.levels[0][0] == 1.0 and u0.depth == 0
-
-
-def test_unit_series_rejects_zero_dim():
-    with pytest.raises(ValueError):
-        unit_series(0, 3)
 
 
 @pytest.mark.parametrize("n,N", [(1, 5), (2, 6), (3, 5), (5, 3)])
@@ -83,13 +95,13 @@ def test_storage_shape_invariants():
 
 def test_budget_guard():
     with pytest.raises(BudgetError):
-        unit_series(3, 30)
+        exp_tensor(np.zeros(3), 30)
     with pytest.raises(BudgetError):
         exp_tensor(np.ones(4), 20)
 
 
 def test_levels_are_immutable():
-    s = unit_series(2, 2)
+    s = unit(2, 2)
     with pytest.raises(ValueError):
         s.levels[0][0] = 2.0
 
@@ -100,14 +112,14 @@ def test_levels_are_immutable():
 def test_concat_identity_law():
     rng = np.random.default_rng(1)
     x = random_series(rng, 2, 3)
-    assert concat_product(unit_series(2, 3), x).allclose(x)
-    assert concat_product(x, unit_series(2, 3)).allclose(x)
+    assert allclose(concat_product(unit(2, 3), x), x)
+    assert allclose(concat_product(x, unit(2, 3)), x)
 
 
 def test_concat_inverse_of_exponentials():
     v = np.array([0.3, -1.2, 0.7])
     prod = concat_product(exp_tensor(v, 5), exp_tensor(-v, 5))
-    assert prod.allclose(unit_series(3, 5), atol=1e-12)
+    assert allclose(prod, unit(3, 5), atol=1e-12)
 
 
 def test_concat_level2_expansion():
@@ -121,9 +133,9 @@ def test_concat_level2_expansion():
 
 def test_concat_mismatch_errors():
     with pytest.raises(ValueError):
-        concat_product(unit_series(2, 3), unit_series(3, 3))
+        concat_product(unit(2, 3), unit(3, 3))
     with pytest.raises(ValueError):
-        concat_product(unit_series(2, 3), unit_series(2, 4))
+        concat_product(unit(2, 3), unit(2, 4))
 
 
 @settings(max_examples=30, deadline=None)
@@ -133,7 +145,7 @@ def test_concat_associativity(n, N, seed):
     a, b, c = (random_series(rng, n, N) for _ in range(3))
     lhs = concat_product(concat_product(a, b), c)
     rhs = concat_product(a, concat_product(b, c))
-    assert lhs.allclose(rhs, atol=1e-12)
+    assert allclose(lhs, rhs, atol=1e-12)
 
 
 def test_collinear_exponential_law():
@@ -141,7 +153,7 @@ def test_collinear_exponential_law():
     v = rng.standard_normal(3)
     for s, t in [(0.5, 0.25), (1.0, 1.0), (-0.7, 1.3)]:
         lhs = concat_product(exp_tensor(s * v, 6), exp_tensor(t * v, 6))
-        assert lhs.allclose(exp_tensor((s + t) * v, 6), atol=1e-12)
+        assert allclose(lhs, exp_tensor((s + t) * v, 6), atol=1e-12)
 
 
 # -- shuffle product -----------------------------------------------------------
@@ -151,15 +163,15 @@ def test_shuffle_single_letters():
     w1 = word_series((1,), 2, 2)
     w2 = word_series((2,), 2, 2)
     out = shuffle_product(w1, w2)
-    assert pair((1, 2), out) == 1.0
-    assert pair((2, 1), out) == 1.0
-    assert pair((1, 1), out) == 0.0
+    assert coeff((1, 2), out) == 1.0
+    assert coeff((2, 1), out) == 1.0
+    assert coeff((1, 1), out) == 0.0
 
 
 def test_shuffle_unit_is_identity():
     rng = np.random.default_rng(3)
     x = random_series(rng, 2, 3)
-    assert shuffle_product(unit_series(2, 3), x).allclose(x)
+    assert allclose(shuffle_product(unit(2, 3), x), x)
 
 
 @settings(max_examples=25, deadline=None)
@@ -167,10 +179,10 @@ def test_shuffle_unit_is_identity():
 def test_shuffle_commutative_associative(n, N, seed):
     rng = np.random.default_rng(seed)
     a, b, c = (random_series(rng, n, N) for _ in range(3))
-    assert shuffle_product(a, b).allclose(shuffle_product(b, a), atol=1e-12)
+    assert allclose(shuffle_product(a, b), shuffle_product(b, a), atol=1e-12)
     lhs = shuffle_product(shuffle_product(a, b), c)
     rhs = shuffle_product(a, shuffle_product(b, c))
-    assert lhs.allclose(rhs, atol=1e-10)
+    assert allclose(lhs, rhs, atol=1e-10)
 
 
 def test_grouplike_shuffle_law():
@@ -184,7 +196,7 @@ def test_grouplike_shuffle_law():
         w1 = tuple(rng.integers(1, n + 1) for _ in range(k1))
         w2 = tuple(rng.integers(1, n + 1) for _ in range(k2))
         sh = shuffle_product(word_series(w1, n, N), word_series(w2, n, N))
-        lhs = pair(w1, g) * pair(w2, g)
+        lhs = coeff(w1, g) * coeff(w2, g)
         rhs = sum(
             c * g.levels[k][i]
             for k, lv in enumerate(sh.levels)
@@ -199,16 +211,20 @@ def test_shuffle_identity_on_exponential():
     v = np.array([0.8, -0.6])
     g = exp_tensor(v, 4)
     sh = shuffle_product(word_series((1,), 2, 4), word_series((2,), 2, 4))
-    val = pair((1, 2), sh) * pair((1, 2), g) + pair((2, 1), sh) * pair((2, 1), g)
+    val = coeff((1, 2), sh) * coeff((1, 2), g) + coeff((2, 1), sh) * coeff((2, 1), g)
     assert abs(val - v[0] * v[1]) < 1e-12
-    assert abs(pair((1,), g) * pair((2,), g) - v[0] * v[1]) < 1e-12
+    assert abs(coeff((1,), g) * coeff((2,), g) - v[0] * v[1]) < 1e-12
 
 
 # -- exponential ---------------------------------------------------------------
 
 
 def test_exp_tensor_zero_vector():
-    assert exp_tensor(np.zeros(3), 4).allclose(unit_series(3, 4))
+    # the unit series: 1 at level 0, zero elsewhere
+    assert [lv.tolist() for lv in exp_tensor(np.zeros(1), 3).levels] == [[1.0], [0.0], [0.0], [0.0]]
+    u0 = exp_tensor(np.zeros(3), 0)
+    assert u0.levels[0].tolist() == [1.0] and u0.depth == 0
+    assert all(lv.tolist() == [float(k == 0)] * 3**k for k, lv in enumerate(unit(3, 4).levels))
 
 
 def test_exp_tensor_circle_levels():
@@ -223,40 +239,7 @@ def test_exp_tensor_rejects_nonfinite():
         exp_tensor(np.array([np.inf, 0.0]), 3)
 
 
-# -- pairing -------------------------------------------------------------------
-
-
-def test_pair_examples():
-    g = exp_tensor(np.array([PI]), 4)
-    assert pair((), g) == 1.0
-    assert abs(pair((1, 1), g) - PI**2 / 2) < 1e-14
-
-
-def test_pair_linearity():
-    rng = np.random.default_rng(5)
-    a = random_series(rng, 2, 3)
-    b = random_series(rng, 2, 3)
-    w = (1, 2)
-    assert abs(pair(w, a + b) - pair(w, a) - pair(w, b)) < 1e-12
-
-
-def test_pair_range_errors():
-    g = exp_tensor(np.array([1.0, 2.0]), 2)
-    with pytest.raises(ValueError):
-        pair((1, 2, 1), g)
-    with pytest.raises(ValueError):
-        pair((3,), g)
-    with pytest.raises(ValueError):
-        pair((0,), g)
-
-
 # -- Hilbert norm --------------------------------------------------------------
-
-
-def test_hilbert_norm_values():
-    assert hilbert_norm(unit_series(3, 5)) == 1.0
-    v = np.array([0.6, 0.8])  # unit vector
-    assert abs(hilbert_norm(exp_tensor(v, 2)) - 1.5) < 1e-14
 
 
 def test_hilbert_norm_exponential_bound():
@@ -264,7 +247,8 @@ def test_hilbert_norm_exponential_bound():
     for _ in range(20):
         v = rng.standard_normal(3) * rng.uniform(0, 2)
         N = int(rng.integers(0, 9))
-        assert hilbert_norm(exp_tensor(v, N)) <= math.exp(np.linalg.norm(v)) + 1e-12
+        norm = math.sqrt(sum(float(lv @ lv) for lv in exp_tensor(v, N).levels))
+        assert norm <= math.exp(np.linalg.norm(v)) + 1e-12
 
 
 # -- trace ---------------------------------------------------------------------
@@ -367,4 +351,4 @@ def test_shuffle_dim_one_counts_multiplicity():
     w3 = word_series((1, 1, 1), 1, 6)
     sh = shuffle_product(w2, w3)
     assert sh.levels[5][0] == math.comb(5, 2)
-    assert abs(pair((1, 1), g) * pair((1, 1, 1), g) - sh.levels[5][0] * g.levels[5][0]) < 1e-14
+    assert abs(coeff((1, 1), g) * coeff((1, 1, 1), g) - sh.levels[5][0] * g.levels[5][0]) < 1e-14

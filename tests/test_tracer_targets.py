@@ -7,6 +7,7 @@ called, or their per-layer spans silently read zero.
 """
 
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -16,7 +17,8 @@ from liesig.average import average_quadrature
 from liesig.groups import SU2Group
 from liesig.spectra import spectrum_quadrature
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def load_tracer():
@@ -54,3 +56,10 @@ def test_tracer_installs_and_uninstalls_every_target():
         "average.sphere_moment_level",
         "spectra.su2_radial_integrals_mp",
     } <= names
+
+
+def test_benchmark_library_calls_resolve():
+    # the benchmark's jobs call liesig.<name> directly, and no other test runs them
+    names = set(re.findall(r"\bliesig\.([A-Za-z_]\w*)", (PERFBENCH / "workloads.py").read_text()))
+    assert {"SampledPath", "path_signature_numeric", "spectrum_quadrature", "ball_volume_from_moments"} <= names
+    assert [name for name in sorted(names) if not hasattr(liesig, name)] == []
