@@ -1,8 +1,8 @@
 """Signatures of group-valued paths.
 
-For a geodesic from the identity to g the signature is exactly the tensor
-exponential of the endpoint log, ``exp_tensor(model.log(g), N)``.  General
-C^1 paths are handled by a chordal scheme: pull each sampled chord (g_i, g_{i+1}) back to the algebra
+For a geodesic from the identity to g the signature is exactly
+``exp_tensor(model.log(g), N)``.  General C^1 paths are handled by a
+chordal scheme: pull each sampled chord (g_i, g_{i+1}) back to the algebra
 increment u_i = log(g_i^{-1} g_{i+1}), take the exact signature
 exp_tensor(u_i) of the replacing geodesic chord, and Chen-multiply them in
 order, pairwise in a tree (the product is associative).  Chord signatures

@@ -24,26 +24,27 @@ def random_series(rng, n, N, scale=1.0):
     return TruncatedTensorSeries(n, N, levels)
 
 
-def word_series(word, n, N):
-    """Series with coefficient 1 on a single basis word (1-based letters)."""
-    levels = [np.zeros(n**k) for k in range(N + 1)]
+def flat_index(word, n):
+    """Row-major index of a basis word (1-based letters) within its level."""
     flat = 0
     for i in word:
         flat = flat * n + (i - 1)
-    levels[len(word)][flat] = 1.0
+    return flat
+
+
+def word_series(word, n, N):
+    """Series with coefficient 1 on a single basis word."""
+    levels = [np.zeros(n**k) for k in range(N + 1)]
+    levels[len(word)][flat_index(word, n)] = 1.0
     return TruncatedTensorSeries(n, N, tuple(levels))
+
+
+def coeff(word, x):
+    return float(x.levels[len(word)][flat_index(word, x.dim)])
 
 
 def unit(n, N):
     return exp_tensor(np.zeros(n), N)
-
-
-def coeff(word, x):
-    """Coefficient of a basis word (1-based letters) in x."""
-    flat = 0
-    for i in word:
-        flat = flat * x.dim + (i - 1)
-    return float(x.levels[len(word)][flat])
 
 
 def allclose(a, b, atol=1e-12, rtol=0.0):
