@@ -220,11 +220,14 @@ def test_shuffle_identity_on_exponential():
 # -- exponential ---------------------------------------------------------------
 
 
-def test_exp_tensor_zero_vector():
-    # the unit series: 1 at level 0, zero elsewhere
-    assert [lv.tolist() for lv in exp_tensor(np.zeros(1), 3).levels] == [[1.0], [0.0], [0.0], [0.0]]
-    u0 = exp_tensor(np.zeros(3), 0)
+def test_unit_series_identity_values():
+    # the unit series exp(0): 1 at level 0, zero elsewhere
+    assert [lv.tolist() for lv in unit(1, 3).levels] == [[1.0], [0.0], [0.0], [0.0]]
+    u0 = unit(3, 0)
     assert u0.levels[0].tolist() == [1.0] and u0.depth == 0
+
+
+def test_exp_tensor_zero_vector():
     assert all(lv.tolist() == [float(k == 0)] * 3**k for k, lv in enumerate(unit(3, 4).levels))
 
 
