@@ -24,8 +24,9 @@ CSV column layouts:
   recover:  kind,index,x,value       (kind: F_table | diameter_raw)
 Comment lines starting with '#' carry the provenance key=value pairs.
 
-Exit codes: 0 success, 2 configuration error or unwritable --output, 3
-numerical failure (fit failures still write their diagnostic payload).
+Exit codes: 0 success, 1 stdout closed before the output was written, 2
+configuration error or unwritable --output, 3 numerical failure (fit
+failures still write their diagnostic payload).
 """
 
 from __future__ import annotations
@@ -151,6 +152,7 @@ def _emit(args: argparse.Namespace, result: dict,
         pieces = (line + "\n" for part in (lines, rows) for line in part)
     if not args.output:
         sys.stdout.writelines(pieces)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return
     path = Path(args.output)
     if not path.is_absolute():
@@ -302,6 +304,10 @@ def main(argv=None) -> int:
     except ValueError as exc:  # BudgetError, the library's refusals and --output among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # stdout closed early, as by `| head`
+        # the unwritten rest goes to devnull, so the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -47,8 +47,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import mpmath as mp
-from scipy.special import gammaln
-from scipy.stats import qmc
 
 from .groups import map_chunks, stream
 from .spectra import IID_CHUNK, TraceSpectrum, spectrum_monte_carlo
@@ -145,6 +143,8 @@ def unit_ball_volume(n: int) -> float:
     """Volume of the Euclidean unit n-ball, pi^(n/2) / Gamma(n/2 + 1)."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    from scipy.special import gammaln
+
     return math.exp(0.5 * n * math.log(math.pi) - gammaln(0.5 * n + 1.0))
 
 
@@ -309,6 +309,9 @@ def _radii(model, samples: int, seed: int, scheme: str, threads: int) -> np.ndar
     scrambled with a seed from SeedSequence((seed, c)).  Each chunk writes
     its own slice, so the radii do not depend on ``threads``.
     """
+    if scheme == "qmc":
+        # scipy's first load comes before the radii buffer, not on top of it in peak RSS
+        from scipy.stats import qmc
     out = np.empty(samples)
 
     def iid(c, start, size):

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import mpmath as mp
 import numpy as np
 
 from .average import AverageSignatureResult, _is_torus
@@ -41,6 +42,9 @@ __all__ = [
 # draws per chunk of the iid stream; recovery's iid radial CDF lays out the
 # same chunks, so chunk c of either holds the same draws
 IID_CHUNK = 1 << 16
+# largest relative gap a quadrature spectrum's float values may have from
+# its exact moments
+QUADRATURE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -117,19 +121,25 @@ def spectrum_quadrature(model, K: int, nodes: int = 64) -> TraceSpectrum:
 
     float64 values are the model's Gauss-Legendre ``radial_moments``; the
     attached mp values are its ``exact_radial_moments``, built only once
-    the float values are known to be finite.
+    the float values are known to be finite.  The largest relative gap
+    between the two is recorded as ``quadrature_residual``; above
+    ``QUADRATURE_TOL`` (too few nodes for K) the spectrum is refused.
     """
     # an overflowing power is refused below, so numpy need not warn of it
     with np.errstate(over="ignore"):
         vals = model.radial_moments(K, nodes)
     vals[0] = 1.0
     _require_finite(vals, "r_2k")
-    return TraceSpectrum(
-        vals,
-        K,
-        {"method": "quadrature", "nodes": nodes},
-        mp_values=model.exact_radial_moments(K, _store_dps(K)),
-    )
+    exact = model.exact_radial_moments(K, _store_dps(K))
+    with mp.workprec(53):  # a fixed precision, so the recorded residual is too
+        residual = max(float(abs((v - e) / e)) for v, e in zip(vals.tolist(), exact))
+    if residual > QUADRATURE_TOL:
+        raise ValueError(
+            f"quadrature with {nodes} nodes is {residual:.2g} off the exact moments "
+            f"(relative, tolerance {QUADRATURE_TOL:g}); use more nodes"
+        )
+    prov = {"method": "quadrature", "nodes": nodes, "quadrature_residual": residual}
+    return TraceSpectrum(vals, K, prov, mp_values=exact)
 
 
 def spectrum_monte_carlo(

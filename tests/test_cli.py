@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -272,6 +274,15 @@ def test_spectrum_quadrature_refuses_before_exact_moments(monkeypatch, capsys):
     code = main(["spectrum", "--group", "su2", "--method", "quadrature", "--half-depth", "400"])
     assert code == 2
     assert "error: first non-finite r_2k at k = 311" in capsys.readouterr().err
+
+
+def test_spectrum_quadrature_with_too_few_nodes_exits_2(capsys):
+    code = main(["spectrum", "--group", "su2", "--method", "quadrature", "--half-depth", "16",
+                 "--nodes", "4"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("error: quadrature with 4 nodes is 0.67 off the exact moments "
+                            "(relative, tolerance 1e-06); use more nodes\n")
 
 
 def test_output_dir_env(tmp_path, monkeypatch):
@@ -598,6 +609,23 @@ def test_output_through_link_and_pipe(tmp_path):
     reader.join(timeout=30)
     assert not reader.is_alive() and got == [plain.read_bytes()]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "link.json", "plain.dat", "target.json"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_closed_stdout_exits_1_quietly(fmt):
+    # the su2 depth-8 average is about 200 kB, more than a pipe holds, so
+    # the write fails once the reader has gone, as under `| head -c 20`
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "liesig.cli", "average", "--group", "su2", "--method",
+         "quadrature", "--depth", "8", "--format", fmt],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(proc.stdout.read(20)) == 20
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
 
 
 def test_json_output_builds_no_csv_rows(tmp_path, monkeypatch):

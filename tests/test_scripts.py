@@ -1,18 +1,27 @@
 """The experiment scripts run end to end at small sizes."""
 
+import hashlib
 import re
 import runpy
 import sys
 from pathlib import Path
 
+import pytest
+
 from liesig import lk_norm, parse_group, spectrum_quadrature
+from liesig.cli import main
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
-def run_script(name, args, monkeypatch, capsys):
+def run_script(name, args, monkeypatch, capsys, code=0):
     monkeypatch.setattr(sys, "argv", [name] + args)
-    runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    try:
+        runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+    except SystemExit as exc:
+        assert exc.code == code
     return capsys.readouterr().out
 
 
@@ -30,3 +39,30 @@ def test_recovery_demo(monkeypatch, capsys):
     dims = [int(d) for d in re.findall(r"dimension:\s+(\d+)", out)]
     assert dims == [1, 3, 2, 4]
     assert out.count("F(R) table:") == 4
+
+
+BYTE_TABLE_COMMANDS = [
+    "spectrum --group circle --method closed_form --half-depth 4",
+    "average --group su2 --method product_shuffle --depth 4",
+]
+
+
+def test_byte_table(monkeypatch, capsys, tmp_path):
+    out = run_script("byte_table.py", BYTE_TABLE_COMMANDS, monkeypatch, capsys)
+    ok, refused = BYTE_TABLE_COMMANDS
+    expected = []
+    for fmt in ("json", "csv"):
+        main(ok.split() + ["--format", fmt, "--output", str(tmp_path / fmt)])
+        digest = hashlib.sha256((tmp_path / fmt).read_bytes()).hexdigest()[:16]
+        expected += [f"0  {digest}  {fmt:<4}  t{t}  {ok}" for t in (1, 2)]
+    for fmt in ("json", "csv"):
+        for t in (1, 2):
+            expected += [f"2  none              {fmt:<4}  t{t}  {refused}",
+                         "    error: product_shuffle needs a product group"]
+    assert out.splitlines() == expected
+
+
+@pytest.mark.skipif(not (ROOT / ".git").exists(), reason="--base needs a git checkout")
+def test_byte_table_against_base(monkeypatch, capsys):
+    out = run_script("byte_table.py", BYTE_TABLE_COMMANDS + ["--base", "HEAD"], monkeypatch, capsys)
+    assert re.search(r"^0 of 8 runs differ from [0-9a-f]{12}$", out, re.M)

@@ -104,6 +104,36 @@ def test_mp_values_match_floats():
             assert abs(v - float(m)) <= 1e-12 * float(m)
 
 
+def max_relative_gap(spec) -> float:
+    with mp.workdps(50):
+        return float(max(abs(mp.mpf(v) / m - 1) for v, m in zip(spec.values, spec.mp_values)))
+
+
+@pytest.mark.parametrize("group,K,nodes,bound", [
+    ("su2", 60, 128, 1e-13),  # moments-mp and criterion 7's settings
+    ("circle", 60, 64, 1e-12),
+    ("circle", 16, 16, 1e-7),
+    ("su2", 16, 64, 1e-14),
+])
+def test_quadrature_residual_recorded(group, K, nodes, bound):
+    spec = spectrum_quadrature(parse_group(group), K, nodes)
+    residual = spec.provenance["quadrature_residual"]
+    assert residual == spec.to_json_dict()["quadrature_residual"]
+    assert residual <= bound
+    assert math.isclose(residual, max_relative_gap(spec), rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("group,K,nodes,gap", [
+    ("su2", 16, 4, "0.67"),
+    ("su2", 16, 8, "0.036"),
+    ("circle", 16, 8, "0.081"),
+])
+def test_quadrature_with_too_few_nodes_refused(group, K, nodes, gap):
+    # these returned float values this far off the exact moments, silently
+    with pytest.raises(ValueError, match=f"quadrature with {nodes} nodes is {gap} off"):
+        spectrum_quadrature(parse_group(group), K, nodes)
+
+
 def test_su2_radial_integrals_recursion_vs_mpmath_quad():
     I = su2_radial_integrals_mp(40)
     with mp.workdps(40):
