@@ -172,6 +172,8 @@ def _emit(args: argparse.Namespace, result: dict,
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
+    except BrokenPipeError:  # a pipe written through (/dev/stdout) lost its reader
+        raise
     except OSError as exc:  # an unwritable --output is a configuration error
         raise ValueError(f"cannot write --output: {exc}") from exc
 

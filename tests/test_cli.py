@@ -611,15 +611,16 @@ def test_output_through_link_and_pipe(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "link.json", "plain.dat", "target.json"]
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_closed_stdout_exits_1_quietly(fmt):
+@pytest.mark.parametrize("fmt,output", [("json", []), ("csv", []),
+                                        ("json", ["--output", "/dev/stdout"])])
+def test_closed_stdout_exits_1_quietly(fmt, output):
     # the su2 depth-8 average is about 200 kB, more than a pipe holds, so
     # the write fails once the reader has gone, as under `| head -c 20`
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.Popen(
         [sys.executable, "-m", "liesig.cli", "average", "--group", "su2", "--method",
-         "quadrature", "--depth", "8", "--format", fmt],
+         "quadrature", "--depth", "8", "--format", fmt, *output],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     assert len(proc.stdout.read(20)) == 20
     proc.stdout.close()

@@ -16,7 +16,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 def python(code: str) -> str:
     """stdout of ``code`` run in a fresh interpreter that imports liesig from ``src``."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           stdout=subprocess.PIPE, text=True)
     return proc.stdout

@@ -15,13 +15,13 @@ ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
 
 
-def run_script(name, args, monkeypatch, capsys, code=0):
+def run_script(name, args, monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", [name] + args)
     monkeypatch.setattr(sys, "path", list(sys.path))
     try:
         runpy.run_path(str(SCRIPTS / name), run_name="__main__")
     except SystemExit as exc:
-        assert exc.code == code
+        assert not exc.code
     return capsys.readouterr().out
 
 
