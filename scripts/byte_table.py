@@ -8,18 +8,21 @@ Usage:
 
 Each command runs through ``liesig.cli.main`` in this process, as JSON and
 as CSV at ``--threads 1`` and ``2``, with ``--output`` to a temporary file.
-A run's result is its exit code, the SHA-256 of the file it wrote ("none"
-when it wrote none) and its stderr text.  Each run prints one line (exit
-code, the first 16 hex digits of the hash, format, threads, command), then
-its stderr indented.  The commands cover ``average``, ``spectrum`` and
-``recover``, their methods, the su2, circle, torus and product groups, and
-refusals.
+A run is summed up by its exit code, two SHA-256 hashes of the file it
+wrote ("none" when it wrote none) and its stderr text.  The payload hash
+covers the whole file; the result hash leaves out the provenance, that is
+the JSON's top-level ``config`` entry or the CSV's leading ``# `` lines.
+Each run prints one line (exit code, the first 16 hex digits of both
+hashes, format, threads, command), then its stderr indented.  The commands
+cover ``average``, ``spectrum`` and ``recover``, their methods, the su2,
+circle, torus and product groups, and refusals.
 
 With ``--base REV`` the committed tree of REV is exported with ``git
-archive`` into a temporary directory, as ``bench_pairs.py`` does, the same
-commands run there in a child process (``--src``) that imports liesig from
-its ``src``, and every run whose exit code, payload hash or stderr differs
-is listed.  The exit status is then 1 when any run differs, else 0.
+archive`` into a temporary directory, as ``bench_pairs.py`` does, and the
+same commands run there in a child process (``--src``) that imports liesig
+from its ``src``.  Runs whose exit code, result hash or stderr differ are
+listed apart from runs whose payloads differ in their config alone (a flag
+added or dropped).  The exit status is then 1 when any run differs, else 0.
 """
 
 from __future__ import annotations
@@ -61,19 +64,37 @@ COMMANDS = [
     "average --group torus:4 --method closed_form --depth 40",
     "average --group torus:4 --method product_shuffle --depth 40",
     "recover --group circle --samples 200000 --seed 7",
+    "recover --group su2 --half-depth 3",
     "recover --group su2 --samples 100 --seed 7",
     "recover --group su2 --samples 200000 --seed 7",
     "recover --group torus:2 --samples 200000 --seed 7",
     "spectrum --group circle --method closed_form --half-depth 20",
     "spectrum --group circle --method quadrature --half-depth 12",
-    "spectrum --group circle --method quadrature --half-depth 16 --nodes 8",
+    "spectrum --group circle --method quadrature --half-depth 300",
     "spectrum --group su2 --method monte_carlo --half-depth 200 --samples 1000",
     "spectrum --group su2 --method monte_carlo --half-depth 8 --samples 100000 --seed 2",
     "spectrum --group su2 --method quadrature --half-depth 16",
-    "spectrum --group su2 --method quadrature --half-depth 16 --nodes 4",
     "spectrum --group su2 --method quadrature --half-depth 400",
 ]
 VARIANTS = [(fmt, threads) for fmt in ("json", "csv") for threads in (1, 2)]
+
+
+def result_digest(data: bytes, fmt: str) -> str:
+    """SHA-256 of an output without its provenance.
+
+    JSON keys are sorted, so ``config`` is the first entry, from its line to
+    the line of its closing brace; CSV provenance is the leading ``# ``
+    lines.
+    """
+    start = end = 0
+    if fmt == "json" and (i := data.find(b'\n  "config": {')) >= 0:
+        start, end = i, data.find(b"\n", data.find(b"\n  }", i) + 1)
+    while fmt == "csv" and data.startswith(b"# ", end):
+        end = data.index(b"\n", end) + 1
+    view = memoryview(data)
+    digest = hashlib.sha256(view[:start])
+    digest.update(view[end:])
+    return digest.hexdigest()
 
 
 def run_all(commands: list[str], src: Path) -> list[dict]:
@@ -96,12 +117,15 @@ def run_all(commands: list[str], src: Path) -> list[dict]:
                         code = liesig.cli.main(argv)
                     except SystemExit as exc:  # argparse refusals
                         code = exc.code
-                payload = None
+                payload = result = None
                 if path.exists():
-                    payload = hashlib.sha256(path.read_bytes()).hexdigest()
+                    data = path.read_bytes()
                     path.unlink()
+                    payload = hashlib.sha256(data).hexdigest()
+                    result = result_digest(data, fmt)
                 runs.append({"command": command, "format": fmt, "threads": threads,
-                             "exit": code, "payload": payload, "stderr": err.getvalue()})
+                             "exit": code, "payload": payload, "result": result,
+                             "stderr": err.getvalue()})
     return runs
 
 
@@ -119,10 +143,14 @@ def run_base(rev: str, commands: list[str]) -> tuple[str, list[dict]]:
     return sha, json.loads(proc.stdout)
 
 
+def short(digest: str | None) -> str:
+    return (digest or "none")[:16]
+
+
 def print_table(runs: list[dict]) -> None:
     for r in runs:
-        print(f"{r['exit']}  {(r['payload'] or 'none')[:16]:<16}  {r['format']:<4}  "
-              f"t{r['threads']}  {r['command']}")
+        print(f"{r['exit']}  {short(r['payload']):<16}  {short(r['result']):<16}  "
+              f"{r['format']:<4}  t{r['threads']}  {r['command']}")
         for line in r["stderr"].splitlines():
             print("    " + line)
 
@@ -145,15 +173,20 @@ def main(argv=None) -> int:
     if not args.base:
         return 0
     sha, base_runs = run_base(args.base, args.commands)
-    differ = [(b, r) for b, r in zip(base_runs, runs)
-              if any(b[k] != r[k] for k in ("exit", "payload", "stderr"))]
-    print(f"\n{len(differ)} of {len(runs)} runs differ from {sha[:12]}")
-    for b, r in differ:
-        print(f"  {r['command']} --format {r['format']} --threads {r['threads']}: "
-              f"exit {b['exit']} -> {r['exit']}, payload {(b['payload'] or 'none')[:16]} -> "
-              f"{(r['payload'] or 'none')[:16]}"
-              + (", stderr differs" if b["stderr"] != r["stderr"] else ""))
-    return 1 if differ else 0
+    differ, config_only = [], []
+    for b, r in zip(base_runs, runs):
+        if any(b[k] != r[k] for k in ("exit", "result", "stderr")):
+            differ.append((b, r))
+        elif b["payload"] != r["payload"]:
+            config_only.append((b, r))
+    for label, key, listed in (("in result", "result", differ),
+                               ("in config only", "payload", config_only)):
+        print(f"\n{len(listed)} of {len(runs)} runs differ {label} from {sha[:12]}")
+        for b, r in listed:
+            print(f"  {r['command']} --format {r['format']} --threads {r['threads']}: "
+                  f"exit {b['exit']} -> {r['exit']}, {key} {short(b[key])} -> {short(r[key])}"
+                  + (", stderr differs" if b["stderr"] != r["stderr"] else ""))
+    return 1 if differ or config_only else 0
 
 
 if __name__ == "__main__":

@@ -153,7 +153,7 @@ def _c8_geometry_recovery():
     ok = True
     msgs = []
     for group, n, V, vtol, S, stol in cases:
-        rep = recover(parse_group(group), samples=10**7, seed=7, K=8, scheme="qmc")
+        rep = recover(parse_group(group), samples=10**7, seed=7, K=8)
         good = (
             rep.dimension == n
             and abs(rep.volume - V) / V <= vtol

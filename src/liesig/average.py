@@ -110,7 +110,7 @@ def average_closed_form(model, N: int) -> AverageSignatureResult:
     return AverageSignatureResult(TruncatedTensorSeries(1, N, tuple(levels)), "closed_form")
 
 
-def average_quadrature(model, N: int, nodes: int = 64) -> AverageSignatureResult:
+def average_quadrature(model, N: int) -> AverageSignatureResult:
     """Deterministic average signature for models with direction moments.
 
     Even level k is (m_k / k!) times the direction's moment tensor; odd
@@ -123,7 +123,7 @@ def average_quadrature(model, N: int, nodes: int = 64) -> AverageSignatureResult
     _check_budget(n, N)
     # an overflowing power is refused below, so numpy need not warn of it
     with np.errstate(over="ignore"):
-        m = model.radial_moments(N // 2, nodes)
+        m = model.radial_moments(N // 2)
     if not np.all(np.isfinite(m)):
         raise ValueError(f"radial moments up to depth {N} overflow float64")
     for k in range(1, N + 1):
@@ -194,7 +194,7 @@ def average_monte_carlo(
     )
 
 
-def average_product(model, N: int, nodes: int = 64) -> AverageSignatureResult:
+def average_product(model, N: int) -> AverageSignatureResult:
     """Product rule folded over a product's factors from the left, each
     factor averaged in closed form (circles) or by quadrature (the rest)."""
     if not hasattr(model, "factors"):
@@ -202,7 +202,7 @@ def average_product(model, N: int, nodes: int = 64) -> AverageSignatureResult:
     _check_budget(model.dim, N)  # before any factor is built
     acc = None
     for f in model.factors:
-        nxt = average_closed_form(f, N) if _is_torus(f) else average_quadrature(f, N, nodes)
+        nxt = average_closed_form(f, N) if _is_torus(f) else average_quadrature(f, N)
         acc = nxt if acc is None else product_average_shuffle(acc, nxt, N)
     return acc
 

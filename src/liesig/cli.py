@@ -12,11 +12,11 @@ Subcommands:
 Each subcommand takes only the flags it reads.  Outputs are JSON (default)
 or CSV, written to stdout or --output.  Every output embeds the flags its
 command reads, all but --output and --threads, so seeded runs are
-reproducible byte for byte regardless of --threads.  The environment
-variable LIESIG_OUTPUT_DIR redirects relative --output paths (and nothing
-else).  JSON is the text of json.dumps(payload, sort_keys=True, indent=2),
-with tensor levels formatted from their arrays, each distinct value once;
-a regular --output file is replaced only when complete.
+reproducible byte for byte regardless of --threads.  Quadrature uses 64
+Gauss-Legendre nodes and recover the qmc radial CDF.  JSON is the text of
+json.dumps(payload, sort_keys=True, indent=2), with tensor levels
+formatted from their arrays, each distinct value once; a regular --output
+file is replaced only when complete.
 
 CSV column layouts:
   average:  kind,level,index,value   (kind: coeff | stderr_level)
@@ -60,10 +60,7 @@ _FLAGS = {
     "half_depth": dict(type=int, default=8, help="spectrum half-depth K (default %(default)s)"),
     "samples": dict(type=int, default=10**6),
     "seed": dict(type=int, default=0),
-    "nodes": dict(type=int, default=64),
     "threads": dict(type=int, default=1),
-    "scheme": dict(default="qmc", choices=["qmc", "iid"],
-                   help="sampling scheme for the recovery CDF"),
     "output": dict(default=None),
     "format": dict(default="json", choices=["json", "csv"]),
 }
@@ -73,7 +70,6 @@ _LEAST = {
     "seed": (0, "seed must be a non-negative integer"),
     "depth": (0, "depths must be non-negative"),
     "half_depth": (0, "depths must be non-negative"),
-    "nodes": (1, "nodes must be >= 1"),
     "threads": (1, "threads must be >= 1"),
 }
 
@@ -155,8 +151,6 @@ def _emit(args: argparse.Namespace, result: dict,
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return
     path = Path(args.output)
-    if not path.is_absolute():
-        path = Path(os.environ.get("LIESIG_OUTPUT_DIR", ".")) / path
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         if path.is_symlink() or path.exists() and not path.is_file():
@@ -181,14 +175,14 @@ def _emit(args: argparse.Namespace, result: dict,
 # method -> builder from the group model and the parsed flags
 _AVERAGE_METHODS = {
     "closed_form": lambda model, a: average_closed_form(model, a.depth),
-    "quadrature": lambda model, a: average_quadrature(model, a.depth, a.nodes),
+    "quadrature": lambda model, a: average_quadrature(model, a.depth),
     "monte_carlo": lambda model, a: average_monte_carlo(model, a.depth, a.samples, a.seed,
                                                         threads=a.threads),
-    "product_shuffle": lambda model, a: average_product(model, a.depth, a.nodes),
+    "product_shuffle": lambda model, a: average_product(model, a.depth),
 }
 _SPECTRUM_METHODS = {
     "closed_form": lambda model, a: spectrum_closed_form(model, a.half_depth),
-    "quadrature": lambda model, a: spectrum_quadrature(model, a.half_depth, a.nodes),
+    "quadrature": lambda model, a: spectrum_quadrature(model, a.half_depth),
     "monte_carlo": lambda model, a: spectrum_monte_carlo(model, a.half_depth, a.samples, a.seed,
                                                          threads=a.threads),
 }
@@ -229,7 +223,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     model = parse_group(args.group)
     try:
         report = recover(model, samples=args.samples, seed=args.seed, K=args.half_depth,
-                         threads=args.threads, scheme=args.scheme)
+                         threads=args.threads)
     except (AmbiguousDimension, FitFailure) as exc:
         _emit(args, {"error": str(exc), "result": None},
               lambda: [["kind", "index", "x", "value"], ["error", 0, 0.0, str(exc)]])
@@ -242,11 +236,11 @@ def _cmd_recover(args: argparse.Namespace) -> int:
 # config holds those flags but --output and --threads
 _COMMANDS = {
     "average": ("average signature tensor", _cmd_average, _AVERAGE_METHODS,
-                "group method depth samples seed nodes threads output format"),
+                "group method depth samples seed threads output format"),
     "spectrum": ("rescaled trace spectrum", _cmd_spectrum, _SPECTRUM_METHODS,
-                 "group method half_depth samples seed nodes threads output format"),
+                 "group method half_depth samples seed threads output format"),
     "recover": ("recover geometric invariants", _cmd_recover, None,
-                "group half_depth samples seed threads scheme output format"),
+                "group half_depth samples seed threads output format"),
 }
 
 

@@ -61,6 +61,8 @@ __all__ = [
 ]
 
 CUT_TOLERANCE = 1e-9
+# Gauss-Legendre nodes of ``radial_moments``, exact on polynomials to degree 127
+GAUSS_LEGENDRE_NODES = 64
 
 _TWO_PI = 2.0 * math.pi
 
@@ -158,7 +160,7 @@ class CircleGroup:
     def distance_from_uniforms(self, u: np.ndarray) -> np.ndarray:
         return np.abs(math.pi - _TWO_PI * u[:, 0])
 
-    def radial_moments(self, K: int, nodes: int = 64) -> np.ndarray:
+    def radial_moments(self, K: int, nodes: int = GAUSS_LEGENDRE_NODES) -> np.ndarray:
         # d = |theta| with theta uniform on (-pi, pi): Gauss-Legendre there
         x, w = leggauss(nodes)
         theta = math.pi * x
@@ -243,7 +245,7 @@ def _su2_radius_from_uniform(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def su2_radial_moments(max_k: int, nodes: int = 64) -> np.ndarray:
+def su2_radial_moments(max_k: int, nodes: int = GAUSS_LEGENDRE_NODES) -> np.ndarray:
     """Moments m_k = int_0^pi r^k (2/pi) sin^2 r dr, k=0..max_k, by Gauss-Legendre.
 
     Each row is summed on its own, so m_k depends only on k and ``nodes``,
@@ -398,7 +400,7 @@ class SU2Group:
     def distance_from_uniforms(self, u: np.ndarray) -> np.ndarray:
         return _su2_radius_from_uniform(u[:, 0])
 
-    def radial_moments(self, K: int, nodes: int = 64) -> np.ndarray:
+    def radial_moments(self, K: int, nodes: int = GAUSS_LEGENDRE_NODES) -> np.ndarray:
         return su2_radial_moments(2 * K, nodes)[::2]
 
     def exact_radial_moments(self, K: int, dps: int) -> tuple:
@@ -461,7 +463,7 @@ class ProductGroup:
             off += d
         return np.sqrt(total)
 
-    def radial_moments(self, K: int, nodes: int = 64) -> np.ndarray:
+    def radial_moments(self, K: int, nodes: int = GAUSS_LEGENDRE_NODES) -> np.ndarray:
         return np.array(_convolve([f.radial_moments(K, nodes) for f in self.factors], sum))
 
     def exact_radial_moments(self, K: int, dps: int) -> tuple:

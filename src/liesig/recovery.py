@@ -33,8 +33,8 @@ errors) and a chunked scrambled-Sobol scheme ("qmc"), both chunked and
 threaded by ``groups.map_chunks``.  The qmc scheme stratifies each chunk of
 2^21 draws, shrinking CDF error from N^(-1/2) towards N^(-1); the curvature
 fit needs that: at 10^7 iid samples the binomial Fisher bound on the fitted
-S is several times looser than the accuracy the qmc route delivers.
-Reported standard errors stay binomial, which is conservative for qmc.
+S is several times looser than the accuracy the qmc route delivers, so
+``recover`` uses qmc.  Standard errors stay binomial (conservative for qmc).
 """
 
 from __future__ import annotations
@@ -71,6 +71,7 @@ QMC_CHUNK = 1 << 21
 PAIRING_TOL = 0.02
 # fixed settings of the diameter fit, the small-ball fit and the F(R) table
 FIT_WINDOW = 0.5
+DIAMETER_MIN_K = 4
 EPS_GRID = tuple(np.geomspace(0.05, 0.3, 8))
 ROUND_TOLERANCE = 0.35
 TABLE_RADII = 12
@@ -117,8 +118,8 @@ def diameter_estimate(spec: TraceSpectrum) -> DiameterEstimate:
     sequence r_{2k}^(1/(2k)) (non-decreasing for exact spectra).
     """
     K = spec.K
-    if K < 4:
-        raise ValueError("diameter estimation needs K >= 4")
+    if K < DIAMETER_MIN_K:
+        raise ValueError(f"diameter estimation needs K >= {DIAMETER_MIN_K}")
     ks = np.arange(1, K + 1)
     raw = spec.values[1:] ** (1.0 / (2.0 * ks))
     lo = max(2, math.ceil(K * FIT_WINDOW))
@@ -460,21 +461,18 @@ def recover(
     seed: int = 0,
     K: int = 8,
     threads: int = 1,
-    scheme: str = "qmc",
-    spectrum: TraceSpectrum | None = None,
 ) -> RecoveryReport:
     """Spectrum -> diameter -> F -> small-ball pipeline.
 
-    The spectrum route (Monte Carlo moments by default) feeds the diameter
-    estimate; the ball-volume table (``TABLE_RADII`` radii) and the
-    small-ball fit (at ``EPS_GRID``) use the empirical radial CDF from the
-    same seed.
+    The Monte Carlo spectrum feeds the diameter estimate; the ball-volume
+    table (``TABLE_RADII`` radii) and the small-ball fit (at ``EPS_GRID``)
+    use the qmc radial CDF from the same seed.
     """
-    spec = spectrum if spectrum is not None else spectrum_monte_carlo(
-        model, K, samples, seed, threads=threads
-    )
+    if K < DIAMETER_MIN_K:  # diameter_estimate's refusal, before any draw
+        raise ValueError(f"diameter estimation needs K >= {DIAMETER_MIN_K}")
+    spec = spectrum_monte_carlo(model, K, samples, seed, threads=threads)
     diam = diameter_estimate(spec)
-    radial = RadialCdfEstimator(model, samples, seed, scheme=scheme, threads=threads)
+    radial = RadialCdfEstimator(model, samples, seed, threads=threads)
     fit = small_ball_recovery(radial)
     # reports promise a tighter slope-to-integer gap than ROUND_TOLERANCE
     if abs(fit.dimension_raw - fit.dimension) > 0.2:
@@ -488,7 +486,7 @@ def recover(
         "diameter": diam.to_json_dict(),
         "small_ball": fit.diagnostics,
         "spectrum": spec.to_json_dict(),
-        "scheme": scheme,
+        "scheme": "qmc",
         "samples": samples,
         "seed": seed,
     }

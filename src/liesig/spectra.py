@@ -27,7 +27,7 @@ import numpy as np
 from .average import AverageSignatureResult, _is_torus
 # su2_radial_integrals_mp lives with SU2Group and is re-exported here,
 # where the benchmark's tracer looks it up
-from .groups import _store_dps, map_chunks, mean_stderr, stream, su2_radial_integrals_mp
+from .groups import GAUSS_LEGENDRE_NODES, _store_dps, map_chunks, mean_stderr, stream, su2_radial_integrals_mp
 from .tensor import trace_level
 
 __all__ = [
@@ -116,7 +116,7 @@ def spectrum_closed_form(model, K: int) -> TraceSpectrum:
     return TraceSpectrum(vals, K, {"method": "closed_form"}, mp_values=mp_vals)
 
 
-def spectrum_quadrature(model, K: int, nodes: int = 64) -> TraceSpectrum:
+def spectrum_quadrature(model, K: int, nodes: int = GAUSS_LEGENDRE_NODES) -> TraceSpectrum:
     """Deterministic spectrum of any model with radial moments.
 
     float64 values are the model's Gauss-Legendre ``radial_moments``; the
@@ -136,7 +136,7 @@ def spectrum_quadrature(model, K: int, nodes: int = 64) -> TraceSpectrum:
     if residual > QUADRATURE_TOL:
         raise ValueError(
             f"quadrature with {nodes} nodes is {residual:.2g} off the exact moments "
-            f"(relative, tolerance {QUADRATURE_TOL:g}); use more nodes"
+            f"(relative, tolerance {QUADRATURE_TOL:g}); use a smaller K"
         )
     prov = {"method": "quadrature", "nodes": nodes, "quadrature_residual": residual}
     return TraceSpectrum(vals, K, prov, mp_values=exact)

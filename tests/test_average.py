@@ -92,13 +92,13 @@ def test_torus_closed_form_level2():
 
 def test_circle_quadrature_matches_closed_form():
     cf = average_closed_form(CircleGroup(), 10)
-    q = average_quadrature(CircleGroup(), 10, nodes=64)
+    q = average_quadrature(CircleGroup(), 10)
     assert all(np.allclose(a, b, atol=1e-12, rtol=0.0) for a, b in zip(q.tensor.levels, cf.tensor.levels))
     assert abs(q.tensor.levels[4][0] - PI**4 / 120) < 1e-12
 
 
 def test_su2_quadrature_trace_and_odd_levels():
-    q = average_quadrature(SU2Group(), 6, nodes=64)
+    q = average_quadrature(SU2Group(), 6)
     r2 = 2.0 * trace_level(q.tensor, 2)
     assert abs(r2 - (PI**2 / 3 - 0.5)) < 1e-12
     for k in (1, 3, 5):
@@ -187,7 +187,7 @@ def test_mc_level0_exact_and_provenance():
 
 def test_mc_matches_quadrature_within_4se():
     for model, depth in ((CircleGroup(), 6), (SU2Group(), 4)):
-        q = average_quadrature(model, depth, nodes=64)
+        q = average_quadrature(model, depth)
         mc = average_monte_carlo(model, depth, 2 * 10**5, seed=31)
         for k in range(depth + 1):
             diff = np.abs(mc.tensor.levels[k] - q.tensor.levels[k])
@@ -308,7 +308,7 @@ def test_product_shuffle_matches_direct_torus_mc():
 def test_product_shuffle_mixed_group():
     # circle x su2 against direct MC on the product model
     cfc = average_closed_form(CircleGroup(), 4)
-    qs = average_quadrature(SU2Group(), 4, nodes=64)
+    qs = average_quadrature(SU2Group(), 4)
     prod = product_average_shuffle(cfc, qs, 4)
     assert prod.tensor.dim == 4
     mc = average_monte_carlo(parse_group("product:circle,su2"), 4, 10**5, seed=21)
@@ -356,7 +356,7 @@ def _as_result(levels, n):
 
 
 def test_product_shuffle_matches_padded_oracle_su2_circle():
-    q = average_quadrature(SU2Group(), 10, nodes=64)
+    q = average_quadrature(SU2Group(), 10)
     c = average_closed_form(CircleGroup(), 10)
     for a, b in ((q, c), (c, q)):
         _assert_bitwise(product_average_shuffle(a, b, 10).tensor.levels,
@@ -366,7 +366,7 @@ def test_product_shuffle_matches_padded_oracle_su2_circle():
 def test_product_shuffle_matches_padded_oracle_mc_and_circles():
     mc = average_monte_carlo(SU2Group(), 5, 4000, seed=17)
     assert np.any(mc.tensor.levels[3])  # odd levels of a Monte Carlo factor are nonzero
-    q = average_quadrature(SU2Group(), 5, nodes=64)
+    q = average_quadrature(SU2Group(), 5)
     for a, b in ((mc, q), (q, mc), (mc, mc)):
         _assert_bitwise(product_average_shuffle(a, b, 5).tensor.levels,
                         _padded_product_levels(a, b, 5))
@@ -377,7 +377,7 @@ def test_product_shuffle_matches_padded_oracle_mc_and_circles():
 
 def test_product_shuffle_matches_padded_oracle_three_factors():
     c = average_closed_form(CircleGroup(), 6)
-    q = average_quadrature(SU2Group(), 6, nodes=64)
+    q = average_quadrature(SU2Group(), 6)
     mc = average_monte_carlo(CircleGroup(), 6, 3000, seed=4)
     new = product_average_shuffle(product_average_shuffle(c, q, 6), mc, 6)
     ref = _padded_product_levels(_as_result(_padded_product_levels(c, q, 6), 4), mc, 6)

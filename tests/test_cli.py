@@ -34,7 +34,6 @@ def test_average_closed_form_json(tmp_path):
     payload = json.loads(path.read_text())
     assert payload["config"]["depth"] == 8
     assert payload["config"]["samples"] == 10**6  # defaults echoed for provenance
-    assert payload["config"]["nodes"] == 64
     assert abs(payload["result"]["levels"][2][0] - PI**2 / 6) < 1e-14
 
 
@@ -127,12 +126,10 @@ def test_config_error_budget(capsys):
 
 # the flags each command reads; its output's config holds all but output and threads
 COMMAND_FLAGS = {
-    "average": {"group", "method", "depth", "samples", "seed", "nodes", "threads", "output",
-                "format"},
-    "spectrum": {"group", "method", "half_depth", "samples", "seed", "nodes", "threads",
-                 "output", "format"},
-    "recover": {"group", "half_depth", "samples", "seed", "threads", "scheme", "output",
-                "format"},
+    "average": {"group", "method", "depth", "samples", "seed", "threads", "output", "format"},
+    "spectrum": {"group", "method", "half_depth", "samples", "seed", "threads", "output",
+                 "format"},
+    "recover": {"group", "half_depth", "samples", "seed", "threads", "output", "format"},
 }
 
 
@@ -142,7 +139,6 @@ def test_config_error_bad_values(capsys):
         "seed": ("-1", "seed must be a non-negative integer"),
         "depth": ("-1", "depths must be non-negative"),
         "half_depth": ("-1", "depths must be non-negative"),
-        "nodes": ("0", "nodes must be >= 1"),
         "threads": ("0", "threads must be >= 1"),
     }
     checked = 0
@@ -153,7 +149,7 @@ def test_config_error_bad_values(capsys):
             assert main(argv) == 2
             assert capsys.readouterr().err == f"error: {message}\n"
             checked += 1
-    assert checked == 14
+    assert checked == 12
 
 
 @pytest.mark.parametrize("argv", [
@@ -172,6 +168,7 @@ def test_config_holds_the_flags_the_command_reads(argv, tmp_path):
     assert comments == [f"{k}={v}" for k, v in sorted(dict(config, format="csv").items())]
 
 
+# --scheme and --nodes belong to no command and are refused the same way
 @pytest.mark.parametrize("argv", [
     ["average", "--group", "circle", "--half-depth", "2"],
     ["average", "--group", "circle", "--scheme", "iid"],
@@ -212,7 +209,7 @@ def test_readme_cli_examples_parse():
         parser.parse_args(argv)
     rows = [[c.strip() for c in l.strip("|").split("|")] for l in section.splitlines()
             if l.startswith("| `--")]
-    assert len(rows) == 11
+    assert len(rows) == 9
     for command, column in (("average", 2), ("spectrum", 3), ("recover", 4)):
         flags = vars(parser.parse_args([command, "--group", "circle"]))
         marked = {row[0].split("`")[1][2:].replace("-", "_") for row in rows if row[column]}
@@ -274,23 +271,6 @@ def test_spectrum_quadrature_refuses_before_exact_moments(monkeypatch, capsys):
     code = main(["spectrum", "--group", "su2", "--method", "quadrature", "--half-depth", "400"])
     assert code == 2
     assert "error: first non-finite r_2k at k = 311" in capsys.readouterr().err
-
-
-def test_spectrum_quadrature_with_too_few_nodes_exits_2(capsys):
-    code = main(["spectrum", "--group", "su2", "--method", "quadrature", "--half-depth", "16",
-                 "--nodes", "4"])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert captured.err == ("error: quadrature with 4 nodes is 0.67 off the exact moments "
-                            "(relative, tolerance 1e-06); use more nodes\n")
-
-
-def test_output_dir_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("LIESIG_OUTPUT_DIR", str(tmp_path))
-    code = main(["spectrum", "--group", "circle", "--method", "closed_form",
-                 "--half-depth", "4", "--output", "sub/out.json"])
-    assert code == 0
-    assert (tmp_path / "sub" / "out.json").exists()
 
 
 def test_stdout_default(capsys):

@@ -50,7 +50,7 @@ def test_average_and_spectrum_load_no_scipy(argv, tmp_path):
 LAZY = """
 import json, sys
 from liesig import CircleGroup, recover, unit_ball_volume
-report = recover(CircleGroup(), samples=20000, seed=3, K=8, scheme="qmc")
+report = recover(CircleGroup(), samples=20000, seed=3, K=8)
 print(json.dumps({"unit_ball_volume": [unit_ball_volume(n).hex() for n in (1, 2, 3, 7)],
                   "recover": report.to_json_dict(),
                   "scipy": sorted(k for k in ("scipy.special", "scipy.stats") if k in sys.modules)},

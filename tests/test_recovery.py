@@ -512,10 +512,13 @@ def test_recover_circle_small_run():
     assert any(r[0] == "diameter_raw" for r in rows)
 
 
-def test_recover_accepts_exact_spectrum():
-    spec = spectrum_closed_form(CircleGroup(), 16)
-    rep = recover(CircleGroup(), samples=10**5, seed=1, spectrum=spec)
-    assert abs(rep.diameter - PI) / PI < 0.01
+def test_recover_refuses_small_K_before_sampling(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("Monte Carlo spectrum drawn for a K the diameter fit refuses")
+
+    monkeypatch.setattr(recovery, "spectrum_monte_carlo", unreachable)
+    with pytest.raises(ValueError, match=r"^diameter estimation needs K >= 4$"):
+        recover(SU2Group(), K=3)
 
 
 def test_recover_product_dimension_additivity():

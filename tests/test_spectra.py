@@ -32,7 +32,7 @@ def test_su2_quadrature_r2():
 
 
 def test_rtr_spectrum_from_tensor():
-    q = average_quadrature(SU2Group(), 6, nodes=64)
+    q = average_quadrature(SU2Group(), 6)
     spec = rtr_spectrum(q, 3)
     direct = spectrum_quadrature(SU2Group(), 3)
     assert np.allclose(spec.values, direct.values, rtol=1e-12)
@@ -130,7 +130,7 @@ def test_quadrature_residual_recorded(group, K, nodes, bound):
 ])
 def test_quadrature_with_too_few_nodes_refused(group, K, nodes, gap):
     # these returned float values this far off the exact moments, silently
-    with pytest.raises(ValueError, match=f"quadrature with {nodes} nodes is {gap} off"):
+    with pytest.raises(ValueError, match=f"quadrature with {nodes} nodes is {gap} off.*; use a smaller K$"):
         spectrum_quadrature(parse_group(group), K, nodes)
 
 

@@ -1,9 +1,11 @@
-"""The benchmark tracer (perfbench/tracer.py) must resolve every target.
+"""The benchmark (perfbench/) must keep working against the library.
 
 The tracer wraps liesig functions by the names it lists in ``TARGETS``; a
 rename or a move in the library would otherwise break ``--trace 1`` with no
 failing test.  Moved functions must also stay wrapped where they are
-called, or their per-layer spans silently read zero.
+called, or their per-layer spans silently read zero.  The workloads call
+liesig functions by name and ``liesig.cli.main`` with fixed argv, and both
+must still resolve and parse.
 """
 
 import importlib.util
@@ -21,12 +23,16 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def load_perfbench(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     mod = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = mod  # dataclasses look their module up there
     spec.loader.exec_module(mod)
     return mod
+
+
+def load_tracer():
+    return load_perfbench("perfbench_tracer", TRACER)
 
 
 def owner_of(path):
@@ -64,3 +70,22 @@ def test_benchmark_library_calls_resolve():
     used = {"SampledPath", "path_signature_numeric", "spectrum_quadrature", "ball_volume_from_moments"}
     assert used <= names
     assert [name for name in sorted(names) if not hasattr(liesig, name)] == []
+
+
+def test_benchmark_cli_argv_parse(monkeypatch, tmp_path):
+    # a flag the workloads pass and the CLI no longer takes would fail every
+    # benchmark run; each CLI job's argv goes through the real parser only
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # workloads.py imports checks
+    workloads = load_perfbench("perfbench_workloads", PERFBENCH / "workloads.py")
+    parsed = []
+
+    def parse_only(argv):
+        parsed.append(liesig.cli.build_parser().parse_args(argv).command)
+        return 0
+
+    monkeypatch.setattr(liesig.cli, "main", parse_only)
+    for name in ("recover-su2", "average-dense"):
+        for job in workloads.BUILDERS[name](liesig, seed=1, smoke=True).jobs:
+            if job.run.__qualname__.startswith("_cli_job."):
+                job.run({}, tmp_path)
+    assert parsed == ["recover"] * 2 + ["average"] * 4
