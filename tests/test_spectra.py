@@ -130,7 +130,8 @@ def test_quadrature_residual_recorded(group, K, nodes, bound):
 ])
 def test_quadrature_with_too_few_nodes_refused(group, K, nodes, gap):
     # these returned float values this far off the exact moments, silently
-    with pytest.raises(ValueError, match=f"quadrature with {nodes} nodes is {gap} off.*; use a smaller K$"):
+    message = f"quadrature with {nodes} nodes is {gap} off .*; use a smaller K$"
+    with pytest.raises(ValueError, match=message):
         spectrum_quadrature(parse_group(group), K, nodes)
 
 

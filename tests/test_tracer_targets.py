@@ -31,10 +31,6 @@ def load_perfbench(name, path):
     return mod
 
 
-def load_tracer():
-    return load_perfbench("perfbench_tracer", TRACER)
-
-
 def owner_of(path):
     obj = liesig
     for part in path.split(".")[1:]:
@@ -43,7 +39,7 @@ def owner_of(path):
 
 
 def test_tracer_installs_and_uninstalls_every_target():
-    tracer = load_tracer()
+    tracer = load_perfbench("perfbench_tracer", TRACER)
     before = {(path, attr): getattr(owner_of(path), attr) for _, path, attr, _ in tracer.TARGETS}
     t = tracer.Tracer()
     t.install(liesig)
