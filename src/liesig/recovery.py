@@ -20,10 +20,12 @@ for the small-ball asymptotics, sampled distances) and produces:
     clamped guess.  The sums run in fixed point at wp = prec + 32 bits:
     node values, cosines and scaled moments become integers in units of
     2^-wp, and the Chebyshev sums, the monomial re-expansion and the
-    pairing are exact integer sums.  erfc is evaluated only where it is
-    not saturated, at the relative precision that absolute accuracy 2^-wp
-    needs.  The nodes, the integer cosine table and the integer rows of
-    T_m(2u - 1) are cached per (degree, precision),
+    pairing are exact integer sums.  erfc is 0 or 2 where it saturates;
+    elsewhere it is an integer Taylor step from the nearest of a table of
+    anchors, to absolute accuracy 2^-wp, and no mpmath erf or erfc is
+    called.  The nodes, the integer cosine table and the integer rows of
+    T_m(2u - 1) are cached per (degree, precision), the erfc anchors per
+    precision,
   * dimension, volume, and scalar curvature from the small-ball expansion
     F(eps) = (w_n / V) eps^n (1 - S eps^2 / (6(n+2)) + O(eps^3)),
     fit on the radii ``EPS_GRID`` against an empirical radial CDF.
@@ -40,6 +42,7 @@ S is several times looser than the accuracy the qmc route delivers, so
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import warnings
@@ -75,6 +78,13 @@ DIAMETER_MIN_K = 4
 EPS_GRID = tuple(np.geomspace(0.05, 0.3, 8))
 ROUND_TOLERANCE = 0.35
 TABLE_RADII = 12
+# ``_erfc_fixed`` steps from anchors 2^-_ERFC_STEP apart and works
+# _ERFC_GUARD bits below its 2^-wp unit.  Its error is at most 1/2 unit
+# (final rounding) + 1/4 (series tail) + the integer roundings: under 2.5
+# units of 2^-(wp+20) per table step plus the longest term count, below 2^13
+# of them (1/128 unit) up to wp ~ 10^4; measured 219 at wp 600, 378 at 1500
+_ERFC_STEP = 4
+_ERFC_GUARD = 20
 
 
 class AmbiguousDimension(RuntimeError):
@@ -183,22 +193,98 @@ def _chebyshev_tables(degree: int, wp: int):
     return nodes, cos_rows, int_rows
 
 
+def _erfc_terms(j, t, bits):
+    """Series terms that bring a step of up to 2^-t from x0 = j 2^-_ERFC_STEP
+    within 2^-bits.
+
+    Around x0, erfc(x0 + h) = erfc(x0) - D h sum_n q_n / (n + 1), with
+    D = (2/sqrt(pi)) e^(-x0^2) and q_n = p_n h^n, p_n the Taylor coefficients
+    of e^(-2 x0 t - t^2).  For |h| <= H = 2^-t, |q_n| <= r_n with r_0 = 1,
+    r_1 = a, r_(n+1) = (a r_n + b r_(n-1)) / (n + 1), a = 2 x0 H, b = 2 H^2.
+    For n >= N - 1, V_n = max(r_n, k r_(n-1)) shrinks by k = (a + sqrt(a^2 +
+    4 b N)) / (2 N) per step, so the terms n >= N add at most
+    V_(N-1) k / ((1 - k)(N + 1)).  Returns the least N whose bound, times
+    D H, is at most 2^-bits; the budget's 2^-10 slack in log2 covers the
+    rounding of the floats.
+    """
+    x0 = math.ldexp(j, -_ERFC_STEP)
+    a, b = math.ldexp(x0, 1 - t), math.ldexp(1, 1 - 2 * t)
+    budget = x0 * x0 * math.log2(math.e) - math.log2(2 / math.sqrt(math.pi)) + t - bits - 2**-10
+    # r_(N-2) and r_(N-1) times 2^-scale, kept above about 2^-320, so a
+    # limit too small for a normal float is never reached
+    r_prev, r, scale = 0.0, 1.0, 0
+    lim = 2.0**budget
+    for N in itertools.count(1):
+        k = (a + math.sqrt(a * a + 4 * b * N)) / (2 * N)
+        if k < 1 and max(r, k * r_prev) * k <= lim * (1 - k) * (N + 1):
+            return N
+        r_prev, r = r, (a * r + b * r_prev) / N
+        if r < 2.0**-300 and r_prev < 2.0**-300:
+            r_prev, r, scale = r_prev * 2.0**300, r * 2.0**300, scale - 300
+            lim = 2.0 ** (budget - scale)
+
+
+def _erfc_offset(j, hf, terms, d, fp):
+    """D h sum_(n < terms) q_n / (n + 1) (``_erfc_terms``) in units of 2^-fp,
+    at x0 = j 2^-_ERFC_STEP, h = hf 2^-fp and D = d 2^-fp; every shift and
+    division floors."""
+    shift = fp + _ERFC_STEP - 1
+    A = -j * hf  # -2 x0 h in units of 2^-shift
+    C = -((hf * hf) >> (fp - _ERFC_STEP))  # -2 h^2 in the same units
+    q_prev, q = 0, 1 << fp
+    s = q
+    for n in range(1, terms):
+        q_prev, q = q, ((A * q + C * q_prev) >> shift) // n
+        s += q // (n + 1)
+    return (d * hf * s) >> (2 * fp)
+
+
+@functools.lru_cache(maxsize=None)
+def _erfc_anchors(wp):
+    """erfc and D = (2/sqrt(pi)) e^(-x0^2) at the anchors x0 = j 2^-_ERFC_STEP.
+
+    Both are in units of 2^-fp, fp = wp + _ERFC_GUARD.  D comes from one
+    ``mp.exp`` per anchor.  erfc is stepped forward from erfc(0) = 1, one
+    anchor at a time, with terms for 2^-(fp+2) per step; for h > 0 the sum
+    is the mean of e^(-2 x0 t - t^2) over [0, h], at most 1, so an error in
+    D adds at most 2^-_ERFC_STEP units per step.  The anchors reach one past
+    the saturation point of ``_erfc_fixed`` at wp.  Also returns the term
+    count of an evaluation, |h| <= 2^-(_ERFC_STEP+1), to 2^-(wp+2), per anchor.
+    """
+    fp = wp + _ERFC_GUARD
+    step = 1 << (fp - _ERFC_STEP)
+    top = int(math.ldexp(math.sqrt((wp + 8) / math.log2(math.e)), _ERFC_STEP) + 0.5) + 1
+    with mp.workprec(fp + 16):
+        scale = 2 / mp.sqrt(mp.pi)
+        d = [scale * mp.exp(-mp.ldexp(j, -_ERFC_STEP) ** 2) for j in range(top + 1)]
+    d = [mp.libmp.to_fixed(dj._mpf_, fp) for dj in d]
+    e = [1 << fp]
+    for j in range(top):
+        e.append(e[j] - _erfc_offset(j, step, _erfc_terms(j, _ERFC_STEP, fp + 2), d[j], fp))
+    return fp, e, d, [_erfc_terms(j, _ERFC_STEP + 1, wp + 2) for j in range(top + 1)]
+
+
 def _erfc_fixed(x, wp):
     """erfc(x) in units of 2^-wp, to absolute accuracy 2^-wp.
 
-    erfc(x) <= exp(-x^2) for x >= 0, so past x^2 log2(e) > wp + 8 it is 0,
-    and below that wp + 1 - floor(x^2 log2(e)) bits of relative precision
-    and rounding to the nearest unit are enough; mpmath would otherwise run
-    its 1 - erf series at twice the bits.  Negative x reflects.
+    erfc(x) <= exp(-x^2) for x >= 0, so past x^2 log2(e) > wp + 8 it is 0.
+    Below that, x is floored to units of 2^-fp and stepped from the nearest
+    anchor (``_erfc_anchors``) by a Taylor series whose term count bounds
+    its tail by a quarter unit (``_erfc_terms``).  The integer roundings stay
+    far below a unit (``_ERFC_GUARD``), and the result is rounded to the
+    nearest unit of 2^-wp.  Negative x reflects.
     """
     if x < 0:
         return (2 << wp) - _erfc_fixed(-x, wp)
     t = float(x) ** 2 * math.log2(math.e)
     if t > wp + 8:
         return 0
-    with mp.workprec(wp + 1 - int(t)):
-        v = mp.erfc(x)._mpf_
-    return mp.libmp.to_int(mp.libmp.mpf_shift(v, wp), "n")
+    fp, e, d, terms = _erfc_anchors(wp)
+    xf = mp.libmp.to_fixed(x._mpf_, fp)
+    j = (xf + (1 << (fp - _ERFC_STEP - 1))) >> (fp - _ERFC_STEP)
+    hf = xf - (j << (fp - _ERFC_STEP))
+    v = e[j] - _erfc_offset(j, hf, terms[j], d[j], fp)
+    return (v + (1 << (_ERFC_GUARD - 1))) >> _ERFC_GUARD
 
 
 def _mollified_indicator_monomials(c, sigma, degree):

@@ -371,14 +371,28 @@ def test_moment_cdf_refuses_unordered_error_bound(monkeypatch):
         ball_volume_from_moments(spec, 0.5, 30, dmax=PI)
 
 
+# the working precisions of the pairing grid's degrees 1 ... 60, plus 100 and 330
+PAIRING_WPS = [100, 208, 215, 235, 275, 281, 330, 361, 401, 467, 600]
+
+
+def erfc_seams(wp):
+    # every anchor of _erfc_fixed below its saturation point x^2 log2(e) =
+    # wp + 8, 2^-40 to either side, and the midpoint to the next anchor,
+    # with the sign alternating by anchor
+    step = 2.0 ** -recovery._ERFC_STEP
+    top = int(math.sqrt((wp + 8) / math.log2(math.e)) / step)
+    return [(-1) ** j * (j * step + off) for j in range(top + 1) for off in (0, 2**-40, -(2**-40), step / 2)]
+
+
 @settings(max_examples=300, deadline=None)
 @given(
-    wp=st.sampled_from([100, 208, 330, 600]),
+    wp=st.sampled_from(PAIRING_WPS),
     x=st.one_of(
         st.floats(-40, 40),
         st.floats(2, 21),
         st.floats(-1e-3, 1e-3),
         st.sampled_from([0.0, -0.0, 5e-324]),
+        st.sampled_from(erfc_seams(600)),
     ),
 )
 @example(wp=600, x=0.0)
@@ -386,6 +400,50 @@ def test_erfc_fixed_absolute_accuracy(wp, x):
     got = recovery._erfc_fixed(mp.mpf(x), wp)
     with mp.workprec(2 * wp):
         assert abs(got - mp.ldexp(mp.erfc(x), wp)) <= 1
+
+
+@functools.lru_cache(maxsize=None)
+def erfc_oracle(x):
+    # at twice the largest wp: the seams of all wp share their oracle values
+    with mp.workprec(2 * max(PAIRING_WPS)):
+        return mp.erfc(x)
+
+
+@pytest.mark.parametrize("wp", PAIRING_WPS)
+def test_erfc_fixed_at_seams(wp):
+    for x in erfc_seams(wp):
+        got = recovery._erfc_fixed(mp.mpf(x), wp)
+        with mp.workprec(2 * wp):
+            assert abs(got - mp.ldexp(erfc_oracle(x), wp)) <= 1, x
+
+
+def clear_recovery_caches():
+    for obj in vars(recovery).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+
+
+def test_pairing_calls_no_mpmath_erf(grid_spectra, monkeypatch):
+    want = pairing_outcome(ball_volume_from_moments, grid_spectra["su2"], PI / 2, 60, PI)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("mpmath erf or erfc called")
+
+    for owner in (mp, mp.mp):
+        for name in ("erf", "erfc"):
+            monkeypatch.setattr(owner, name, refuse)
+    for name in ("_erf", "_erfc"):
+        monkeypatch.setattr(mp.mp, name, refuse)
+    clear_recovery_caches()
+    assert pairing_outcome(ball_volume_from_moments, grid_spectra["su2"], PI / 2, 60, PI) == want
+
+
+def test_pairing_same_bits_cold_and_warm(grid_spectra):
+    for spec in grid_spectra.values():
+        for R in (0.3, PI / 2, 2.9):
+            clear_recovery_caches()
+            cold = pairing_outcome(ball_volume_from_moments, spec, R, 60, PI)
+            assert pairing_outcome(ball_volume_from_moments, spec, R, 60, PI) == cold
 
 
 @pytest.mark.parametrize("wp", [100, 208, 600])

@@ -2,8 +2,11 @@
 
 import hashlib
 import json
+import os
 import re
 import runpy
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -72,7 +75,18 @@ def test_byte_table(monkeypatch, capsys, tmp_path):
 
 
 @pytest.mark.skipif(not (ROOT / ".git").exists(), reason="--base needs a git checkout")
-def test_byte_table_against_base(monkeypatch, capsys):
-    out = run_script("byte_table.py", BYTE_TABLE_COMMANDS + ["--base", "HEAD"], monkeypatch, capsys)
+def test_byte_table_against_base(tmp_path):
+    # this checkout's scripts run in an export of HEAD against HEAD, so the
+    # outcome does not depend on uncommitted changes to src
+    runpy.run_path(str(SCRIPTS / "bench_pairs.py"))["export_tree"]("HEAD", tmp_path)
+    for name in ("byte_table.py", "bench_pairs.py"):
+        shutil.copy(SCRIPTS / name, tmp_path / "scripts" / name)
+    git_dir = subprocess.run(["git", "rev-parse", "--absolute-git-dir"], cwd=ROOT, check=True,
+                             stdout=subprocess.PIPE, text=True).stdout.strip()
+    proc = subprocess.run([sys.executable, "scripts/byte_table.py", *BYTE_TABLE_COMMANDS, "--base", "HEAD"],
+                          cwd=tmp_path, env={**os.environ, "GIT_DIR": git_dir},
+                          stdout=subprocess.PIPE, text=True)
+    out = proc.stdout
+    assert proc.returncode == 0, out
     assert re.search(r"^0 of 8 runs differ in result from [0-9a-f]{12}$", out, re.M)
     assert re.search(r"^0 of 8 runs differ in config only from [0-9a-f]{12}$", out, re.M)
