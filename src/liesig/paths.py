@@ -77,7 +77,8 @@ def _block_signature(u: np.ndarray, N: int) -> TruncatedTensorSeries:
     multiplied in rounds by batched outer products, an odd last one carried."""
     m, levels, cur = len(u), [], np.ones((len(u), 1))
     for k in range(1, N + 1):
-        cur = (cur[:, :, None] * u[:, None, :]).reshape(m, -1) / k
+        cur = (cur[:, :, None] * u[:, None, :]).reshape(m, -1)
+        cur /= k  # in place: one (m, n^k) block per level, not two
         levels.append(cur)
     while m > 1:
         h = m // 2
