@@ -159,12 +159,25 @@ def spectrum_monte_carlo(
     def chunk_sums(c, _start, size):
         v = model.sample_log_batch(stream(seed, c), size)
         d2 = np.einsum("bi,bi->b", v, v)
-        # powers d2^k by running products, one contiguous row per k
-        pw = np.empty((K + 1, size))
-        pw[0] = 1.0
-        for k in range(1, K + 1):
-            np.multiply(pw[k - 1], d2, out=pw[k])
-        return pw.sum(axis=1), np.einsum("kb,kb->k", pw, pw)
+        # powers d2^k by running products, two contiguous rows at a time,
+        # not a (K + 1)-row table: numpy sums each row of a 2-D block the
+        # same way for any row count above one, so the sums are bitwise
+        # those of the whole table.  A lone last row K goes with row K - 1.
+        s, q = np.empty(K + 1), np.empty(K + 1)
+        pw = np.ones((min(K + 1, 2), size))
+        lo = 0
+        while True:
+            if len(pw) == 2:
+                np.multiply(pw[0], d2, out=pw[1])
+            hi = lo + len(pw)
+            s[lo:hi], q[lo:hi] = pw.sum(axis=1), np.einsum("kb,kb->k", pw, pw)
+            if hi > K:
+                return s, q
+            lo = min(hi, K - 1)
+            if lo == hi:
+                np.multiply(pw[1], d2, out=pw[0])
+            else:
+                pw[0] = pw[1]
 
     tot = np.zeros(K + 1)
     tsq = np.zeros(K + 1)
