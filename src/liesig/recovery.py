@@ -80,9 +80,10 @@ ROUND_TOLERANCE = 0.35
 TABLE_RADII = 12
 # ``_erfc_fixed`` steps from anchors 2^-_ERFC_STEP apart and works
 # _ERFC_GUARD bits below its 2^-wp unit.  Its error is at most 1/2 unit
-# (final rounding) + 1/4 (series tail) + the integer roundings: under 2.5
-# units of 2^-(wp+20) per table step plus the longest term count, below 2^13
-# of them (1/128 unit) up to wp ~ 10^4; measured 219 at wp 600, 378 at 1500
+# (final rounding) + 1/4 (series tail) + the integer roundings.  Those add
+# under 2.5 units of 2^-(wp+20) per anchor-table step plus the longest term
+# count, below 2^13 units (1/128 of 2^-wp) up to wp ~ 10^4; the table's
+# worst error measured 219 units at wp 600 and 378 at wp 1500
 _ERFC_STEP = 4
 _ERFC_GUARD = 20
 
@@ -193,13 +194,13 @@ def _chebyshev_tables(degree: int, wp: int):
     return nodes, cos_rows, int_rows
 
 
-def _erfc_terms(j, t, bits):
-    """Series terms that bring a step of up to 2^-t from x0 = j 2^-_ERFC_STEP
+def _erfc_terms(j, hbits, bits):
+    """Series terms that bring a step of up to 2^-hbits from x0 = j 2^-_ERFC_STEP
     within 2^-bits.
 
     Around x0, erfc(x0 + h) = erfc(x0) - D h sum_n q_n / (n + 1), with
     D = (2/sqrt(pi)) e^(-x0^2) and q_n = p_n h^n, p_n the Taylor coefficients
-    of e^(-2 x0 t - t^2).  For |h| <= H = 2^-t, |q_n| <= r_n with r_0 = 1,
+    of e^(-2 x0 t - t^2).  For |h| <= H = 2^-hbits, |q_n| <= r_n with r_0 = 1,
     r_1 = a, r_(n+1) = (a r_n + b r_(n-1)) / (n + 1), a = 2 x0 H, b = 2 H^2.
     For n >= N - 1, V_n = max(r_n, k r_(n-1)) shrinks by k = (a + sqrt(a^2 +
     4 b N)) / (2 N) per step, so the terms n >= N add at most
@@ -208,8 +209,8 @@ def _erfc_terms(j, t, bits):
     rounding of the floats.
     """
     x0 = math.ldexp(j, -_ERFC_STEP)
-    a, b = math.ldexp(x0, 1 - t), math.ldexp(1, 1 - 2 * t)
-    budget = x0 * x0 * math.log2(math.e) - math.log2(2 / math.sqrt(math.pi)) + t - bits - 2**-10
+    a, b = math.ldexp(x0, 1 - hbits), math.ldexp(1, 1 - 2 * hbits)
+    budget = x0 * x0 * math.log2(math.e) - math.log2(2 / math.sqrt(math.pi)) + hbits - bits - 2**-10
     # r_(N-2) and r_(N-1) times 2^-scale, kept above about 2^-320, so a
     # limit too small for a normal float is never reached
     r_prev, r, scale = 0.0, 1.0, 0

@@ -6,7 +6,7 @@ import pytest
 
 from liesig import spectra
 from liesig.average import average_monte_carlo, average_quadrature, mc_chunk_size
-from liesig.groups import CircleGroup, SU2Group, parse_group, su2_radial_integrals_mp
+from liesig.groups import CircleGroup, SU2Group, mean_stderr, parse_group, stream, su2_radial_integrals_mp
 from liesig.spectra import (
     TraceSpectrum,
     rtr_spectrum,
@@ -184,6 +184,34 @@ def test_mc_spectrum_threads_bitwise():
     b = spectrum_monte_carlo(parse_group("torus:2"), 5, 70001, seed=6, threads=8)
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.stderr, b.stderr)
+
+
+def power_table_spectrum(model, K, samples, seed):
+    # spectrum_monte_carlo as it summed each chunk from a (K + 1)-row table
+    # of powers, one row per k, single-threaded
+    tot, tsq = np.zeros(K + 1), np.zeros(K + 1)
+    for start in range(0, samples, spectra.IID_CHUNK):
+        size = min(spectra.IID_CHUNK, samples - start)
+        v = model.sample_log_batch(stream(seed, start // spectra.IID_CHUNK), size)
+        d2 = np.einsum("bi,bi->b", v, v)
+        pw = np.empty((K + 1, size))
+        pw[0] = 1.0
+        for k in range(1, K + 1):
+            np.multiply(pw[k - 1], d2, out=pw[k])
+        tot += pw.sum(axis=1)
+        tsq += np.einsum("kb,kb->k", pw, pw)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return mean_stderr(tot, tsq, samples)
+
+
+@pytest.mark.parametrize("K", [1, 2, 7, 8, 40])
+def test_mc_spectrum_matches_power_table_bitwise(K):
+    # a full chunk (65536 draws, past numpy's 8192-element buffer) and a short one
+    model, samples, seed = CircleGroup(), spectra.IID_CHUNK + 4465, 11
+    values, stderr = power_table_spectrum(model, K, samples, seed)
+    spec = spectrum_monte_carlo(model, K, samples, seed)
+    assert spec.values.tobytes() == values.tobytes()
+    assert spec.stderr.tobytes() == stderr.tobytes()
 
 
 def test_mc_spectrum_rejects_no_samples():
