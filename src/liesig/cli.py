@@ -172,6 +172,27 @@ def _emit(args: argparse.Namespace, result: dict,
         raise ValueError(f"cannot write --output: {exc}") from exc
 
 
+# "i," for i < 1000, and the last three digits of larger indices, zero-padded
+_INDEX_LOW = ([f"{i}," for i in range(1000)], [f"{i:03d}," for i in range(1000)])
+
+
+def _coeff_lines(k: int, lo: int, texts: list[str]) -> str:
+    """CSV lines ``coeff,k,i,x`` for x in ``texts`` and i = lo, lo + 1, ....
+
+    Nothing is formatted per row: i is written as i // 1000, formatted once
+    per run of 1000 indices, followed by its last digits from ``_INDEX_LOW``.
+    """
+    hi = lo + len(texts)
+    heads, lows = [], []
+    for run in range(lo // 1000, (hi + 999) // 1000):
+        a, b = max(lo - 1000 * run, 0), min(hi - 1000 * run, 1000)
+        heads += [f"\ncoeff,{k},{run or ''}"] * (b - a)
+        lows += _INDEX_LOW[run > 0][a:b]
+    pieces = [None] * (3 * len(texts))
+    pieces[0::3], pieces[1::3], pieces[2::3] = heads, lows, texts
+    return "".join(pieces)[1:]
+
+
 # method -> builder from the group model and the parsed flags
 _AVERAGE_METHODS = {
     "closed_form": lambda model, a: average_closed_form(model, a.depth),
@@ -195,7 +216,7 @@ def _cmd_average(args: argparse.Namespace) -> int:
         yield ["kind", "level", "index", "value"]
         for k, lv in enumerate(res.tensor.levels):
             for lo, texts in _value_texts(lv):  # repr, as the levels are finite
-                yield "\n".join(f"coeff,{k},{i},{x}" for i, x in enumerate(texts, lo))
+                yield _coeff_lines(k, lo, texts)
         if res.stderr_per_level is not None:
             for k, s in enumerate(res.stderr_per_level):
                 yield ["stderr_level", k, 0, float(s)]

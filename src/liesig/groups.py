@@ -176,7 +176,24 @@ class CircleGroup:
 
 
 _SU2_BLOCK = 1 << 16
-_SU2_NEWTON_STEPS = 4
+# s/w as a polynomial in x = w^2, w = t^(1/3), for the root s in [0, pi/2] of
+# g(s) = s - sin s cos s = t: the degree-10 interpolant at the 11 Chebyshev
+# points of [0, (pi/2)^(2/3)], constant term first.  s/w is an even function
+# of w, analytic in x there, so the fit keeps its relative error near s = 0.
+# tests/test_groups.py rebuilds these from mpmath roots.
+_SU2_GUESS = (
+    1.1447142450874261,
+    0.0999995472654669,
+    0.022476736249356095,
+    0.006391848085101424,
+    0.00300770429457403,
+    -0.0020403892953101224,
+    0.00590027875601433,
+    -0.006906582864970318,
+    0.005399738639331913,
+    -0.0022963697763891382,
+    0.0004512168505340971,
+)
 # (t - sin t)/2 = sum_k (-1)^(k+1) t^(2k+1) / (2 (2k+1)!), k = 1..8; for
 # t = 2s <= 1 the first dropped term is below 1e-16 of the sum.
 _SU2_TAYLOR = tuple((-1) ** (k + 1) / (2.0 * math.factorial(2 * k + 1)) for k in range(1, 9))
@@ -186,7 +203,9 @@ _SU2_TAYLOR_BELOW = 0.5 - math.sin(0.5) * math.cos(0.5)
 
 
 def _su2_g_direct(s: np.ndarray, sin_s: np.ndarray) -> np.ndarray:
-    return s - sin_s * np.cos(s)
+    g = np.cos(s)
+    g *= sin_s
+    return np.subtract(s, g, out=g)
 
 
 def _su2_g_series(s: np.ndarray, _sin_s: np.ndarray) -> np.ndarray:
@@ -198,19 +217,36 @@ def _su2_g_series(s: np.ndarray, _sin_s: np.ndarray) -> np.ndarray:
     return acc * t2 * (2.0 * s)
 
 
-def _su2_half_radius(target: np.ndarray, g) -> np.ndarray:
-    """Solve g(s) = s - sin s cos s = target on [0, pi/2] by clamped Newton."""
-    s = np.minimum(np.cbrt(1.5 * target), 0.5 * math.pi)
-    for _ in range(_SU2_NEWTON_STEPS):
-        sin_s = np.sin(s)
-        slope = 2.0 * sin_s * sin_s
-        step = np.divide(g(s, sin_s) - target, slope, out=np.zeros_like(s), where=slope > 0.0)
-        s = np.clip(s - step, 0.0, 0.5 * math.pi)
+def _su2_half_radius_guess(target: np.ndarray) -> np.ndarray:
+    """Root s in [0, pi/2] of g(s) = target, to relative error below 5e-9."""
+    w = np.cbrt(target)
+    x = np.multiply(w, w)
+    s = np.full_like(x, _SU2_GUESS[-1])
+    for c in _SU2_GUESS[-2::-1]:
+        s *= x
+        s += c
+    s *= w
     return s
 
 
+def _su2_half_radius(target: np.ndarray, g) -> np.ndarray:
+    """Solve g(s) = s - sin s cos s = target on [0, pi/2]: guess, then one clamped Newton step."""
+    s = _su2_half_radius_guess(target)
+    sin_s = np.sin(s)
+    step = g(s, sin_s)
+    step -= target
+    slope = np.multiply(sin_s, sin_s, out=sin_s)
+    slope *= 2.0
+    # the slope is 0 only at s = target = 0, where the step is 0 as well
+    np.divide(step, slope, out=step, where=slope > 0.0)
+    s -= step
+    return np.clip(s, 0.0, 0.5 * math.pi, out=s)
+
+
 def _su2_radius_block(u: np.ndarray) -> np.ndarray:
-    target = math.pi * np.minimum(u, 1.0 - u)
+    target = np.subtract(1.0, u)
+    np.minimum(u, target, out=target)
+    target *= math.pi
     s = _su2_half_radius(target, _su2_g_direct)
     small = np.flatnonzero(target < _SU2_TAYLOR_BELOW)
     s[small] = _su2_half_radius(target[small], _su2_g_series)
@@ -225,13 +261,16 @@ def _su2_radius_from_uniform(u: np.ndarray) -> np.ndarray:
     The CDF is symmetric under r -> pi - r, so the solve runs on the half
     w = min(u, 1 - u) (``1 - u`` is exact for u >= 1/2): find s in
     [0, pi/2] with g(s) = s - sin s cos s = pi w, and return pi - s where
-    u > 1/2.  On that half g is increasing and convex (g' = 2 sin^2 s) and
-    g(s) <= 2 s^3 / 3, so s0 = min((3 pi w / 2)^(1/3), pi/2) starts at or
-    left of the root, and 4 Newton steps, each clamped into [0, pi/2],
-    converge from there.  Where the root lies below 1/2, g is summed from
-    its Taylor series instead of s - sin s cos s, which cancels for small
-    s; the reflection keeps that cancellation away from r = pi as well.
-    The result is within 1e-15 of the exact root for every u in [0, 1].
+    u > 1/2.  A polynomial in (pi w)^(2/3) (``_SU2_GUESS``) gives s0 with
+    |s0 - s| <= rho s, rho = 5e-9.  One Newton step, clamped into
+    [0, pi/2], follows.  Its error is g''(xi) e0^2 / (2 g'(s0)) for some
+    xi between s0 and s, with g' = 2 sin^2 and g'' = 4 sin cos, that is
+    about cot(s) e0^2 <= rho^2 s (s cot s) <= 2.5e-17 s, below rounding.
+    Where the root lies below 1/2, g is summed from its Taylor series
+    instead of s - sin s cos s, which cancels for small s; the reflection
+    keeps that cancellation away from r = pi as well.  The result is
+    within 1e-15 of the exact root for every u in [0, 1], and within
+    3e-16 relative where that root lies below 1/2.
 
     ``u`` is one-dimensional.  Work is elementwise with a fixed step count,
     over fixed blocks of 2^16 entries that bound the size of temporaries,

@@ -504,9 +504,11 @@ def test_cli_json_and_csv_bytes_match_stdlib_route(argv, tmp_path, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ["average", "--group", "su2", "--method", "quadrature", "--depth", "6"],
     ["average", "--group", "product:su2,circle", "--method", "product_shuffle", "--depth", "4"],
-], ids=["su2-quadrature", "su2xcircle-product_shuffle"])
+    ["average", "--group", "su2", "--method", "quadrature", "--depth", "9"],
+], ids=["su2-quadrature", "su2xcircle-product_shuffle", "su2-quadrature-5-digit-index"])
 def test_average_csv_levels_match_per_row_writer(argv, tmp_path, monkeypatch):
-    # coefficient rows are formatted a slice of a level at a time; the
+    # coefficient rows are formatted a slice of a level at a time, and the
+    # index in runs of 1000 (level 9 has 3^9 = 19683 coefficients); the
     # per-row writer of _csv_from_payload is the oracle for their bytes
     monkeypatch.setattr(cli, "_SLICE", 7)
     _, pj = run(argv, tmp_path, "json")

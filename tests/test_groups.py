@@ -15,6 +15,9 @@ from liesig.groups import (
     CutLocusError,
     ProductGroup,
     SU2Group,
+    _SU2_GUESS,
+    _SU2_TAYLOR_BELOW,
+    _su2_half_radius_guess,
     _su2_radius_from_uniform,
     map_chunks,
     parse_group,
@@ -215,15 +218,33 @@ def _su2_cdf_mp(r):
     return (r - mpmath.sin(r) * mpmath.cos(r)) / mpmath.pi
 
 
+def _ulps_around(x, k=64):
+    lo = hi = x
+    out = [x]
+    for _ in range(k):
+        lo, hi = np.nextafter(lo, -1.0), np.nextafter(hi, 2.0)
+        out += [lo, hi]
+    return out
+
+
+# u where the series takes over from s - sin s cos s
+SU2_SEAM_U = _SU2_TAYLOR_BELOW / PI
+
+
 def test_su2_radius_matches_mpmath_root():
     # the CDF is increasing on [0, pi], so evaluating it at r -+ tol (in
     # mpmath, where nothing cancels) brackets u exactly when the true root
     # lies within tol of r
     rng = np.random.default_rng(5)
     tails = [0.0, 1e-300, 1e-20, 1e-12, 0.5, 1 - 1e-4, 1 - 2.0**-53, 1.0]
+    # subnormal u, and u = 1/2, where the root is nearest the pi/2 clamp
+    edges = [5e-324, 1e-320, 1e-310, np.nextafter(2.0**-1022, 0.0), 2.0**-1022] + _ulps_around(0.5)
     u = np.concatenate(
         [
             tails,
+            edges,
+            _ulps_around(SU2_SEAM_U),
+            _ulps_around(1.0 - SU2_SEAM_U),
             rng.random(2000),
             10.0 ** rng.uniform(-300, -1, 500),
             1.0 - 10.0 ** rng.uniform(-16, -1, 500),
@@ -236,6 +257,57 @@ def test_su2_radius_matches_mpmath_root():
             lo = max(mpmath.mpf(ri) - tol, mpmath.mpf(0))
             hi = min(mpmath.mpf(ri) + tol, +mpmath.pi)
             assert _su2_cdf_mp(lo) <= ui <= _su2_cdf_mp(hi), (ui, ri)
+
+
+def _mp_digits_for(r):
+    # s - sin s cos s ~ 2 s^3 / 3 cancels about -3 log10(s) digits
+    return 40 - 3 * min(0, math.floor(math.log10(r)))
+
+
+def test_su2_small_radius_relative_error():
+    # below the series seam the radius is within about one ulp, relative:
+    # the same bracket as above with tol = 3e-16 r
+    rng = np.random.default_rng(6)
+    u = np.concatenate(
+        [
+            _ulps_around(SU2_SEAM_U),
+            SU2_SEAM_U * rng.uniform(0.05, 1.0, 300),
+            10.0 ** rng.uniform(-300, -2, 200),
+        ]
+    )
+    r = _su2_radius_from_uniform(u)
+    for ui, ri in zip(u, r):
+        with mpmath.workdps(_mp_digits_for(ri)):
+            r_mp = mpmath.mpf(ri)
+            tol = r_mp * mpmath.mpf("3e-16")
+            assert _su2_cdf_mp(r_mp - tol) <= ui <= _su2_cdf_mp(r_mp + tol), (ui, ri)
+
+
+def test_su2_guess_within_stated_bound():
+    # the docstring's bound, on a dense grid of half-radii s; t = g(s) comes
+    # from mpmath, so no root is solved
+    s = np.concatenate([np.geomspace(1e-100, 0.1, 200), np.linspace(0.0, PI / 2, 4001)[1:]])
+    t = []
+    for si in s:
+        with mpmath.workdps(_mp_digits_for(si)):
+            t.append(float(mpmath.mpf(si) - mpmath.sin(si) * mpmath.cos(si)))
+    guess = _su2_half_radius_guess(np.array(t))
+    assert np.max(np.abs(guess / s - 1.0)) < 5e-9
+
+
+def test_su2_guess_coefficients_from_mpmath():
+    # s/t^(1/3) interpolated as a polynomial in x = t^(2/3) at the Chebyshev
+    # points of [0, (pi/2)^(2/3)], from roots solved in mpmath
+    n = len(_SU2_GUESS)
+    with mpmath.workdps(40):
+        a = (mpmath.pi / 2) ** (mpmath.mpf(2) / 3)
+        xs = [a / 2 * (1 + mpmath.cos(mpmath.pi * (k + 0.5) / n)) for k in range(n)]
+        ts = [x**1.5 for x in xs]
+        roots = [mpmath.findroot(lambda s: s - mpmath.sin(s) * mpmath.cos(s) - t, mpmath.cbrt(1.5 * t)) for t in ts]
+        vandermonde = mpmath.matrix([[x**j for j in range(n)] for x in xs])
+        values = mpmath.matrix([s / mpmath.cbrt(t) for s, t in zip(roots, ts)])
+        coeffs = mpmath.lu_solve(vandermonde, values)
+    assert [float(c) for c in coeffs] == pytest.approx(_SU2_GUESS, rel=1e-12, abs=0.0)
 
 
 def test_su2_radius_batch_invariant():
