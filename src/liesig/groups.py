@@ -176,10 +176,10 @@ class CircleGroup:
 
 
 _SU2_BLOCK = 1 << 16
-# s/w as a polynomial in x = w^2, w = t^(1/3), for the root s in [0, pi/2] of
+# s/y as a polynomial in x = y^2, y = t^(1/3), for the root s in [0, pi/2] of
 # g(s) = s - sin s cos s = t: the degree-10 interpolant at the 11 Chebyshev
-# points of [0, (pi/2)^(2/3)], constant term first.  s/w is an even function
-# of w, analytic in x there, so the fit keeps its relative error near s = 0.
+# points of [0, (pi/2)^(2/3)], constant term first.  s/y is an even function
+# of y, analytic in x there, so the fit keeps its relative error near s = 0.
 # tests/test_groups.py rebuilds these from mpmath roots.
 _SU2_GUESS = (
     1.1447142450874261,
@@ -219,13 +219,13 @@ def _su2_g_series(s: np.ndarray, _sin_s: np.ndarray) -> np.ndarray:
 
 def _su2_half_radius_guess(target: np.ndarray) -> np.ndarray:
     """Root s in [0, pi/2] of g(s) = target, to relative error below 5e-9."""
-    w = np.cbrt(target)
-    x = np.multiply(w, w)
+    y = np.cbrt(target)
+    x = np.multiply(y, y)
     s = np.full_like(x, _SU2_GUESS[-1])
     for c in _SU2_GUESS[-2::-1]:
         s *= x
         s += c
-    s *= w
+    s *= y
     return s
 
 

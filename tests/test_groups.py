@@ -260,7 +260,7 @@ def test_su2_radius_matches_mpmath_root():
 
 
 def _mp_digits_for(r):
-    # s - sin s cos s ~ 2 s^3 / 3 cancels about -3 log10(s) digits
+    # s - sin s cos s ~ 2 s^3 / 3 cancels about -2 log10(s) digits; allow 3 a decade
     return 40 - 3 * min(0, math.floor(math.log10(r)))
 
 
