@@ -48,6 +48,7 @@ COMMANDS = [
     "average --group product:circle,su2 --method monte_carlo --depth 4 --samples 50000 --seed 5",
     "average --group product:circle,su2 --method product_shuffle --depth 8",
     "average --group product:su2,circle --method closed_form --depth 4",
+    "average --group product:su2,circle --method monte_carlo --depth 4 --samples 50000 --seed 5",
     "average --group product:su2,circle --method product_shuffle --depth 10",
     "average --group product:su2,circle --method quadrature --depth 4",
     "average --group product:su2,circle,circle --method product_shuffle --depth 6",

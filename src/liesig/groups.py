@@ -10,7 +10,8 @@ quaternions, and flat Riemannian products of those.  Each model exposes
   * group multiplication and inversion,
   * seeded Haar sampling, vectorised as ``sample_log_batch`` which returns
     the algebra vectors v = log(g) of Haar draws directly, and
-    ``distance_from_uniforms`` which maps uniforms to Haar distances,
+    ``distance_from_uniforms`` which maps uniforms to Haar distances (on
+    SU(2) one inverse CDF, and v/|v| a normalised Gaussian),
   * the radial law of d = d(e, g) = |log g| and the direction of v/|v|,
     which is all the deterministic layers read:
     ``radial_moments(K, nodes)`` gives E[d^2k], k = 0..K, in float64 by
@@ -418,22 +419,11 @@ class SU2Group:
         return q
 
     def sample_log_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        # radius by inverse CDF of (2/pi) sin^2 r; direction uniform on S^2
+        # radius by inverse CDF, drawn first (pi - r >= 8e-6: test_su2_radius_clear_of_cut_locus);
+        # direction a normalised Gaussian (Muller 1959), all zero with probability ~2^-156
         r = _su2_radius_from_uniform(rng.random(size))
-        z = 1.0 - 2.0 * rng.random(size)
-        phi = _TWO_PI * rng.random(size)
-        bad = math.pi - r < CUT_TOLERANCE
-        while np.any(bad):
-            k = int(bad.sum())
-            r[bad] = _su2_radius_from_uniform(rng.random(k))
-            z[bad] = 1.0 - 2.0 * rng.random(k)
-            phi[bad] = _TWO_PI * rng.random(k)
-            bad = math.pi - r < CUT_TOLERANCE
-        s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-        v = np.empty((size, 3))
-        v[:, 0] = r * s * np.cos(phi)
-        v[:, 1] = r * s * np.sin(phi)
-        v[:, 2] = r * z
+        v = rng.standard_normal((size, 3))
+        v *= (r / np.sqrt(np.einsum("bi,bi->b", v, v)))[:, None]
         return v
 
     def distance_from_uniforms(self, u: np.ndarray) -> np.ndarray:

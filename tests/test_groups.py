@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import threading
@@ -21,6 +22,7 @@ from liesig.groups import (
     _su2_radius_from_uniform,
     map_chunks,
     parse_group,
+    sphere_moment_level,
     stream,
 )
 
@@ -146,12 +148,34 @@ def test_su2_haar_r2_moment():
 
 
 def test_su2_direction_is_uniform():
+    # every moment E[u_i1 ... u_ik] of u = v/|v| up to level 4, each within
+    # 5 standard errors of the uniform measure on S^2
     s = SU2Group()
-    v = s.sample_log_batch(stream(11), 200000)
+    n = 200000
+    v = s.sample_log_batch(stream(11), n)
     u = v / np.linalg.norm(v, axis=1, keepdims=True)
-    assert np.abs(u.mean(axis=0)).max() < 0.01
-    # second moments of a uniform direction are 1/3 on the diagonal
-    assert np.abs((u[:, 0] ** 2).mean() - 1 / 3) < 0.01
+    for k in range(1, 5):
+        exact = sphere_moment_level(k)
+        for word, m in zip(itertools.product(range(3), repeat=k), exact):
+            x = np.prod(u[:, list(word)], axis=1)
+            se = x.std() / math.sqrt(n)
+            assert abs(x.mean() - m) < 5 * se, (word, x.mean(), m, se)
+
+
+@pytest.mark.parametrize("chunk,size", [(3, 1 << 16), (4, 1000)])
+def test_su2_log_radius_is_first_draw(chunk, size):
+    # |v| is the inverse CDF of the chunk stream's first `size` uniforms, so
+    # the iid sampler and distance_from_uniforms share one radial law
+    v = SU2Group().sample_log_batch(stream(5, chunk), size)
+    r = _su2_radius_from_uniform(stream(5, chunk).random(size))
+    assert np.all(np.abs(np.linalg.norm(v, axis=1) - r) <= 4 * np.spacing(r))
+
+
+def test_su2_radius_clear_of_cut_locus():
+    # the largest uniform numpy draws, 1 - 2^-53, lands far from the cut
+    # locus at pi, so sample_log_batch needs no redraw
+    r = _su2_radius_from_uniform(np.array([1.0 - 2.0**-53]))[0]
+    assert PI - r >= 8e-6 > CUT_TOLERANCE
 
 
 # -- sampler determinism and round trips ----------------------------------------
