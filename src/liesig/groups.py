@@ -11,7 +11,7 @@ quaternions, and flat Riemannian products of those.  Each model exposes
   * seeded Haar sampling, vectorised as ``sample_log_batch`` which returns
     the algebra vectors v = log(g) of Haar draws directly, and
     ``distance_from_uniforms`` which maps uniforms to Haar distances (on
-    SU(2) one inverse CDF, and v/|v| a normalised Gaussian),
+    SU(2) both take |v| from one inverse CDF; v/|v| is a normalised Gaussian),
   * the radial law of d = d(e, g) = |log g| and the direction of v/|v|,
     which is all the deterministic layers read:
     ``radial_moments(K, nodes)`` gives E[d^2k], k = 0..K, in float64 by

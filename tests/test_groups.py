@@ -172,8 +172,8 @@ def test_su2_log_radius_is_first_draw(chunk, size):
 
 
 def test_su2_radius_clear_of_cut_locus():
-    # the largest uniform numpy draws, 1 - 2^-53, lands far from the cut
-    # locus at pi, so sample_log_batch needs no redraw
+    # numpy's largest uniform, 1 - 2^-53, maps to a radius far from the
+    # cut locus at pi, so sample_log_batch needs no redraw
     r = _su2_radius_from_uniform(np.array([1.0 - 2.0**-53]))[0]
     assert PI - r >= 8e-6 > CUT_TOLERANCE
 
