@@ -72,6 +72,7 @@ COMMANDS = [
     "spectrum --group circle --method closed_form --half-depth 20",
     "spectrum --group circle --method quadrature --half-depth 12",
     "spectrum --group circle --method quadrature --half-depth 300",
+    "spectrum --group product:su2,circle --method monte_carlo --half-depth 6 --samples 100000 --seed 4",
     "spectrum --group su2 --method monte_carlo --half-depth 200 --samples 1000",
     "spectrum --group su2 --method monte_carlo --half-depth 8 --samples 100000 --seed 2",
     "spectrum --group su2 --method quadrature --half-depth 16",

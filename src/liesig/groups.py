@@ -11,7 +11,9 @@ quaternions, and flat Riemannian products of those.  Each model exposes
   * seeded Haar sampling, vectorised as ``sample_log_batch`` which returns
     the algebra vectors v = log(g) of Haar draws directly, and
     ``distance_from_uniforms`` which maps uniforms to Haar distances (on
-    SU(2) both take |v| from one inverse CDF; v/|v| is a normalised Gaussian),
+    SU(2) both take |v| from one inverse CDF; v/|v| is a normalised Gaussian).
+    Monte Carlo that reads distances only (spectra, the iid radial CDF)
+    draws them with ``haar_distances`` and never builds a direction,
   * the radial law of d = d(e, g) = |log g| and the direction of v/|v|,
     which is all the deterministic layers read:
     ``radial_moments(K, nodes)`` gives E[d^2k], k = 0..K, in float64 by
@@ -52,6 +54,7 @@ __all__ = [
     "stream",
     "map_chunks",
     "mean_stderr",
+    "haar_distances",
     "CircleGroup",
     "SU2Group",
     "ProductGroup",
@@ -114,6 +117,20 @@ def mean_stderr(tot, tsq, samples: int):
     mean = tot / m
     var = np.maximum(tsq / m - mean**2, 0.0) * (m / max(m - 1.0, 1.0))
     return mean, np.sqrt(var / m)
+
+
+def haar_distances(model, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Distances d(e, g) of ``size`` Haar draws, from ``rng``'s uniforms alone.
+
+    The uniforms are laid out factor by factor, ``size`` of each of the
+    ``model.radial_uniform_dim`` coordinates in turn, as ``sample_log_batch``
+    draws them.  So the circle's and SU(2)'s radii are those of
+    ``sample_log_batch`` on the same stream (barring the circle's cut-locus
+    redraw, about 3e-10 per draw), and so are a product's factors up to its
+    first SU(2) factor: that factor's directions come next in
+    ``sample_log_batch``'s stream, not here.
+    """
+    return model.distance_from_uniforms(rng.random((model.radial_uniform_dim, size)).T)
 
 
 def _wrap_angle(theta: float) -> float:

@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import mpmath as mp
 
-from .groups import map_chunks, stream
+from .groups import haar_distances, map_chunks, stream
 from .spectra import IID_CHUNK, TraceSpectrum, spectrum_monte_carlo
 
 __all__ = [
@@ -391,11 +391,13 @@ def ball_volume_from_moments(
 
 
 def _radii(model, samples: int, seed: int, scheme: str, threads: int) -> np.ndarray:
-    """Distances d(e, g) of ``samples`` Haar draws.
+    """Distances d(e, g) of ``samples`` Haar draws, from uniforms alone.
 
-    iid chunk c draws from stream(seed, c); qmc chunk c maps Sobol points
-    scrambled with a seed from SeedSequence((seed, c)).  Each chunk writes
-    its own slice, so the radii do not depend on ``threads``.
+    iid chunk c is ``haar_distances`` on stream(seed, c), the distances of
+    the Monte Carlo spectrum's chunk c; qmc chunk c maps Sobol points
+    scrambled with a seed from SeedSequence((seed, c)) through
+    ``model.distance_from_uniforms``.  Each chunk writes its own slice, so
+    the radii do not depend on ``threads``.
     """
     if scheme == "qmc":
         # scipy's first load comes before the radii buffer, not on top of it in peak RSS
@@ -403,8 +405,7 @@ def _radii(model, samples: int, seed: int, scheme: str, threads: int) -> np.ndar
     out = np.empty(samples)
 
     def iid(c, start, size):
-        v = model.sample_log_batch(stream(seed, c), size)
-        out[start : start + size] = np.sqrt(np.einsum("bi,bi->b", v, v))
+        out[start : start + size] = haar_distances(model, stream(seed, c), size)
 
     def sobol(c, start, size):
         sob_seed = int(np.random.SeedSequence((seed, c)).generate_state(1)[0])

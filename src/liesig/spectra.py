@@ -27,7 +27,15 @@ import numpy as np
 from .average import AverageSignatureResult, _is_torus
 # su2_radial_integrals_mp lives with SU2Group and is re-exported here,
 # where the benchmark's tracer looks it up
-from .groups import GAUSS_LEGENDRE_NODES, _store_dps, map_chunks, mean_stderr, stream, su2_radial_integrals_mp
+from .groups import (
+    GAUSS_LEGENDRE_NODES,
+    _store_dps,
+    haar_distances,
+    map_chunks,
+    mean_stderr,
+    stream,
+    su2_radial_integrals_mp,
+)
 from .tensor import trace_level
 
 __all__ = [
@@ -40,7 +48,8 @@ __all__ = [
 ]
 
 # draws per chunk of the iid stream; recovery's iid radial CDF lays out the
-# same chunks, so chunk c of either holds the same draws
+# same chunks and draws the same distances (``haar_distances``), so chunk c
+# of either holds the same draws
 IID_CHUNK = 1 << 16
 # largest relative gap a quadrature spectrum's float values may have from
 # its exact moments
@@ -151,14 +160,19 @@ def spectrum_monte_carlo(
 ) -> TraceSpectrum:
     """Spectrum as empirical moments of d(e, g)^2 over chunked Haar draws.
 
-    Chunk c takes ``IID_CHUNK`` draws from stream(seed, c), as the tensor
-    Monte Carlo does in chunks of ``mc_chunk_size``; where the two sizes
-    agree, both read the identical sample stream.
+    Chunk c takes ``IID_CHUNK`` distances from stream(seed, c) by
+    ``haar_distances``, with no directions drawn.  The tensor Monte Carlo
+    reads stream(seed, c) too, in chunks of ``mc_chunk_size``.  Where the
+    two sizes agree, the radii are those of its logs v for the circle,
+    SU(2), the torus and any product whose only SU(2) factor is its last.
+    The circle's moments are then bitwise those of |v|^2; the others' may
+    differ in the last place, since an SU(2) log's |v|^2 carries its
+    direction's rounding and a product's d is a rounded square root.
     """
 
     def chunk_sums(c, _start, size):
-        v = model.sample_log_batch(stream(seed, c), size)
-        d2 = np.einsum("bi,bi->b", v, v)
+        d2 = haar_distances(model, stream(seed, c), size)
+        d2 *= d2
         # powers d2^k by running products, two contiguous rows at a time,
         # not a (K + 1)-row table: numpy sums each row of a 2-D block the
         # same way for any row count above one, so the sums are bitwise

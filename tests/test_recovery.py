@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from liesig import recovery
-from liesig.groups import CircleGroup, SU2Group, parse_group
+from liesig.groups import CircleGroup, ProductGroup, SU2Group, parse_group
 from liesig.recovery import (
     AmbiguousDimension,
     FitFailure,
@@ -591,3 +591,17 @@ def test_iid_radii_read_the_spectrum_stream():
     radii = recovery._radii(SU2Group(), 200_001, 5, "iid", 1)
     r2 = spectrum_monte_carlo(SU2Group(), 1, 200_001, 5).values[1]
     assert np.mean(radii**2) == pytest.approx(r2, rel=1e-13, abs=0.0)
+
+
+def test_iid_cdf_and_recover_draw_no_logs(monkeypatch):
+    # both read distances only, so neither may pay for the logs' directions
+    def refuse(self, rng, size):
+        raise AssertionError("a Haar log drawn where distances suffice")
+
+    for cls in (CircleGroup, SU2Group, ProductGroup):
+        monkeypatch.setattr(cls, "sample_log_batch", refuse)
+    for group in ("circle", "su2", "product:su2,circle"):
+        RadialCdfEstimator(parse_group(group), 70_001, seed=2, scheme="iid", threads=2)
+    F, se = RadialCdfEstimator(SU2Group(), 10**5, seed=2, scheme="iid")(PI / 2)
+    assert abs(F - 0.5) <= 4 * se
+    assert recover(SU2Group(), samples=10**6, seed=4, K=8).dimension == 3

@@ -6,7 +6,15 @@ import pytest
 
 from liesig import spectra
 from liesig.average import average_monte_carlo, average_quadrature, mc_chunk_size
-from liesig.groups import CircleGroup, SU2Group, mean_stderr, parse_group, stream, su2_radial_integrals_mp
+from liesig.groups import (
+    CircleGroup,
+    ProductGroup,
+    SU2Group,
+    mean_stderr,
+    parse_group,
+    stream,
+    su2_radial_integrals_mp,
+)
 from liesig.spectra import (
     TraceSpectrum,
     rtr_spectrum,
@@ -212,6 +220,35 @@ def test_mc_spectrum_matches_power_table_bitwise(K):
     spec = spectrum_monte_carlo(model, K, samples, seed)
     assert spec.values.tobytes() == values.tobytes()
     assert spec.stderr.tobytes() == stderr.tobytes()
+
+
+@pytest.mark.parametrize("group", ["su2", "torus:2", "torus:3", "product:circle,su2"])
+def test_mc_spectrum_draws_distances_not_logs(monkeypatch, group):
+    # the spectrum reads the radii of the logs' stream without drawing a log;
+    # d * d may differ from |v|^2 in the last place (the circle's is bitwise,
+    # above), so the log route is an oracle to a few ulp
+    model, K, samples, seed = parse_group(group), 8, 300_001, 12
+    values, stderr = power_table_spectrum(model, K, samples, seed)
+
+    def refuse(self, rng, size):
+        raise AssertionError("a Haar log drawn for a spectrum")
+
+    for cls in (CircleGroup, SU2Group, ProductGroup):
+        monkeypatch.setattr(cls, "sample_log_batch", refuse)
+    spec = spectrum_monte_carlo(model, K, samples, seed, threads=2)
+    np.testing.assert_allclose(spec.values, values, rtol=4 * np.finfo(float).eps, atol=0.0)
+    np.testing.assert_allclose(spec.stderr, stderr, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("group", ["product:su2,circle", "product:su2,su2"])
+def test_mc_spectrum_su2_first_product_within_4se(group):
+    # these draw a later factor's radius from other uniforms than the logs
+    # do, so only the statistics can be checked
+    model = parse_group(group)
+    spec = spectrum_monte_carlo(model, 8, 300_001, 12)
+    exact = spectrum_quadrature(model, 8).values
+    z = np.abs(spec.values[1:] - exact[1:]) / spec.stderr[1:]
+    assert np.all(z <= 4.0)
 
 
 def test_mc_spectrum_rejects_no_samples():

@@ -60,6 +60,25 @@ def test_tracer_installs_and_uninstalls_every_target():
     } <= names
 
 
+def test_mc_spectrum_draws_counted_as_distance_spans():
+    # perfbench's groups.draws and ns_per_draw add up these spans' work; pool
+    # threads' spans have no parent, so the waiting caller keeps its wall time
+    tracer = load_perfbench("perfbench_tracer", TRACER)
+    t = tracer.Tracer()
+    t.install(liesig)
+    try:
+        t.job = "t"
+        liesig.spectra.spectrum_monte_carlo(SU2Group(), 2, 70_000, 5, threads=2)
+    finally:
+        t.uninstall()
+    outer = [s for s in t.spans if s.name == "spectra.spectrum_monte_carlo"]
+    draws = [s for s in t.spans if s.name == "groups.distance_from_uniforms"]
+    assert len(outer) == 1 and len(draws) == 2
+    assert sum(s.work for s in draws) == 70_000
+    assert all(s.parent is None for s in draws if s.thread != outer[0].thread)
+    assert "groups.sample_log_batch" not in {s.name for s in t.spans}
+
+
 def test_benchmark_library_calls_resolve():
     # the benchmark's jobs call liesig.<name> directly, and no other test runs them
     names = set(re.findall(r"\bliesig\.([A-Za-z_]\w*)", (PERFBENCH / "workloads.py").read_text()))
