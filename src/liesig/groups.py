@@ -125,9 +125,8 @@ def haar_distances(model, rng: np.random.Generator, size: int) -> np.ndarray:
     The uniforms are laid out factor by factor, ``size`` of each of the
     ``model.radial_uniform_dim`` coordinates in turn, as ``sample_log_batch``
     draws them.  So the circle's and SU(2)'s radii are those of
-    ``sample_log_batch`` on the same stream (barring the circle's cut-locus
-    redraw, about 3e-10 per draw), and so are a product's factors up to its
-    first SU(2) factor: that factor's directions come next in
+    ``sample_log_batch`` on the same stream, and so are a product's factors
+    up to its first SU(2) factor: that factor's directions come next in
     ``sample_log_batch``'s stream, not here.
     """
     return model.distance_from_uniforms(rng.random((model.radial_uniform_dim, size)).T)
@@ -168,12 +167,9 @@ class CircleGroup:
         return _wrap_angle(-float(a))
 
     def sample_log_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        theta = math.pi - _TWO_PI * rng.random(size)
-        bad = math.pi - np.abs(theta) < CUT_TOLERANCE
-        while np.any(bad):
-            theta[bad] = math.pi - _TWO_PI * rng.random(int(bad.sum()))
-            bad = math.pi - np.abs(theta) < CUT_TOLERANCE
-        return theta[:, None]
+        # theta in (-pi, pi]: a log of a Haar draw even within CUT_TOLERANCE
+        # of pi, where ``log`` refuses the group point
+        return (math.pi - _TWO_PI * rng.random(size))[:, None]
 
     def distance_from_uniforms(self, u: np.ndarray) -> np.ndarray:
         return np.abs(math.pi - _TWO_PI * u[:, 0])
@@ -195,48 +191,40 @@ class CircleGroup:
 
 _SU2_BLOCK = 1 << 16
 # s/y as a polynomial in x = y^2, y = t^(1/3), for the root s in [0, pi/2] of
-# g(s) = s - sin s cos s = t: the degree-10 interpolant at the 11 Chebyshev
+# g(s) = s - sin s cos s = t: the degree-23 interpolant at the 24 Chebyshev
 # points of [0, (pi/2)^(2/3)], constant term first.  s/y is an even function
 # of y, analytic in x there, so the fit keeps its relative error near s = 0.
 # tests/test_groups.py rebuilds these from mpmath roots.
 _SU2_GUESS = (
-    1.1447142450874261,
-    0.0999995472654669,
-    0.022476736249356095,
-    0.006391848085101424,
-    0.00300770429457403,
-    -0.0020403892953101224,
-    0.00590027875601433,
-    -0.006906582864970318,
-    0.005399738639331913,
-    -0.0022963697763891382,
-    0.0004512168505340971,
+    1.1447142425533319,
+    0.10000000000000793,
+    0.02246349766352611,
+    0.006541224306160101,
+    0.002153986993355416,
+    0.000762222258431597,
+    0.0002823270541948126,
+    0.00011206801552202286,
+    1.9546171840980243e-05,
+    0.00012917412671750202,
+    -0.00041485505818123153,
+    0.0012533238564902804,
+    -0.0029502847253484927,
+    0.005585912204798579,
+    -0.00850386171239468,
+    0.01041805741207716,
+    -0.010231621171565586,
+    0.00799168346094654,
+    -0.004896614179776365,
+    0.002302478022077071,
+    -0.0008022123951923358,
+    0.00019520606032925178,
+    -2.9643350215566204e-05,
+    2.1188513885489976e-06,
 )
-# (t - sin t)/2 = sum_k (-1)^(k+1) t^(2k+1) / (2 (2k+1)!), k = 1..8; for
-# t = 2s <= 1 the first dropped term is below 1e-16 of the sum.
-_SU2_TAYLOR = tuple((-1) ** (k + 1) / (2.0 * math.factorial(2 * k + 1)) for k in range(1, 9))
-# g(1/2): half-radii s below 1/2 take the series, since s - sin s cos s
-# loses digits there to cancellation
-_SU2_TAYLOR_BELOW = 0.5 - math.sin(0.5) * math.cos(0.5)
 
 
-def _su2_g_direct(s: np.ndarray, sin_s: np.ndarray) -> np.ndarray:
-    g = np.cos(s)
-    g *= sin_s
-    return np.subtract(s, g, out=g)
-
-
-def _su2_g_series(s: np.ndarray, _sin_s: np.ndarray) -> np.ndarray:
-    t2 = 4.0 * s * s
-    acc = np.full_like(s, _SU2_TAYLOR[-1])
-    for c in _SU2_TAYLOR[-2::-1]:
-        acc *= t2
-        acc += c
-    return acc * t2 * (2.0 * s)
-
-
-def _su2_half_radius_guess(target: np.ndarray) -> np.ndarray:
-    """Root s in [0, pi/2] of g(s) = target, to relative error below 5e-9."""
+def _su2_half_radius_poly(target: np.ndarray) -> np.ndarray:
+    """Root s in [0, pi/2] of g(s) = s - sin s cos s = target, to relative error below 5e-16."""
     y = np.cbrt(target)
     x = np.multiply(y, y)
     s = np.full_like(x, _SU2_GUESS[-1])
@@ -247,27 +235,11 @@ def _su2_half_radius_guess(target: np.ndarray) -> np.ndarray:
     return s
 
 
-def _su2_half_radius(target: np.ndarray, g) -> np.ndarray:
-    """Solve g(s) = s - sin s cos s = target on [0, pi/2]: guess, then one clamped Newton step."""
-    s = _su2_half_radius_guess(target)
-    sin_s = np.sin(s)
-    step = g(s, sin_s)
-    step -= target
-    slope = np.multiply(sin_s, sin_s, out=sin_s)
-    slope *= 2.0
-    # the slope is 0 only at s = target = 0, where the step is 0 as well
-    np.divide(step, slope, out=step, where=slope > 0.0)
-    s -= step
-    return np.clip(s, 0.0, 0.5 * math.pi, out=s)
-
-
 def _su2_radius_block(u: np.ndarray) -> np.ndarray:
     target = np.subtract(1.0, u)
     np.minimum(u, target, out=target)
     target *= math.pi
-    s = _su2_half_radius(target, _su2_g_direct)
-    small = np.flatnonzero(target < _SU2_TAYLOR_BELOW)
-    s[small] = _su2_half_radius(target[small], _su2_g_series)
+    s = _su2_half_radius_poly(target)
     upper = np.flatnonzero(u > 0.5)
     s[upper] = math.pi - s[upper]
     return s
@@ -277,24 +249,21 @@ def _su2_radius_from_uniform(u: np.ndarray) -> np.ndarray:
     """Invert the SU(2) radial CDF (r - sin r cos r)/pi = u on [0, pi].
 
     The CDF is symmetric under r -> pi - r, so the solve runs on the half
-    w = min(u, 1 - u) (``1 - u`` is exact for u >= 1/2): find s in
-    [0, pi/2] with g(s) = s - sin s cos s = pi w, and return pi - s where
-    u > 1/2.  A polynomial in (pi w)^(2/3) (``_SU2_GUESS``) gives s0 with
-    |s0 - s| <= rho s, rho = 5e-9.  One Newton step, clamped into
-    [0, pi/2], follows.  Its error is g''(xi) e0^2 / (2 g'(s0)) for some
-    xi between s0 and s, with g' = 2 sin^2 and g'' = 4 sin cos, that is
-    about cot(s) e0^2 <= rho^2 s (s cot s) <= 2.5e-17 s, below rounding.
-    Where the root lies below 1/2, g is summed from its Taylor series
-    instead of s - sin s cos s, which cancels for small s; the reflection
-    keeps that cancellation away from r = pi as well.  The result is
-    within 1e-15 of the exact root for every u in [0, 1], and within
-    3e-16 relative where that root lies below 1/2.
+    w = min(u, 1 - u) (``1 - u`` is exact for u >= 1/2): s in [0, pi/2]
+    with s - sin s cos s = pi w is one polynomial, ``_SU2_GUESS``, in
+    x = y^2 times y = (pi w)^(1/3), and pi - s is returned where u > 1/2.
+    No equation is solved, and every entry takes the same arithmetic.
 
-    ``u`` is one-dimensional.  Work is elementwise with a fixed step count,
-    over fixed blocks of 2^16 entries that bound the size of temporaries,
-    so each output depends on its own input alone and never on how the
-    input was batched.  Monte Carlo outputs therefore stay byte-identical
-    at any thread count.
+    Contract: the result is within 1e-15 of the exact root for every u in
+    [0, 1], and within 3e-16 relative where that root lies below 1/2.
+    ``tests/test_groups.py`` checks both against mpmath brackets, densest
+    where the error peaks (r in [1.3, 1.7], and u within 1e-12 of 1), and
+    rebuilds the coefficients.
+
+    ``u`` is one-dimensional.  Work is elementwise, over fixed blocks of
+    2^16 entries that bound the size of temporaries, so each output depends
+    on its own input alone and never on how the input was batched.  Monte
+    Carlo outputs therefore stay byte-identical at any thread count.
     """
     out = np.empty(len(u))
     for i in range(0, len(u), _SU2_BLOCK):

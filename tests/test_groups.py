@@ -17,8 +17,7 @@ from liesig.groups import (
     ProductGroup,
     SU2Group,
     _SU2_GUESS,
-    _SU2_TAYLOR_BELOW,
-    _su2_half_radius_guess,
+    _su2_half_radius_poly,
     _su2_radius_from_uniform,
     map_chunks,
     parse_group,
@@ -83,6 +82,23 @@ def test_circle_haar_moments():
     m2 = PI**2 / 3
     se2 = math.sqrt((PI**4 / 5 - m2**2) / n)
     assert abs((th**2).mean() - m2) < 3 * se2
+
+
+def test_circle_log_radius_is_distance_at_cut_locus():
+    # uniform 0.0 gives theta = pi: kept as drawn, not redrawn, so the log's
+    # radius is the distance that haar_distances reads from the same uniform
+    class Uniforms:
+        def __init__(self):
+            self.calls = iter([np.array([0.0, 0.3, 0.7])])
+
+        def random(self, size):
+            return next(self.calls, np.full(size, 0.5))
+
+    c = CircleGroup()
+    u = np.array([0.0, 0.3, 0.7])
+    th = c.sample_log_batch(Uniforms(), 3)[:, 0]
+    assert np.abs(th).tobytes() == c.distance_from_uniforms(u[:, None]).tobytes()
+    assert th[0] == PI
 
 
 # -- su2 -----------------------------------------------------------------------
@@ -251,8 +267,8 @@ def _ulps_around(x, k=64):
     return out
 
 
-# u where the series takes over from s - sin s cos s
-SU2_SEAM_U = _SU2_TAYLOR_BELOW / PI
+# u of the root r = 1/2, where the radius's relative bound starts
+SU2_SEAM_U = (0.5 - math.sin(0.5) * math.cos(0.5)) / PI
 
 
 def test_su2_radius_matches_mpmath_root():
@@ -283,13 +299,30 @@ def test_su2_radius_matches_mpmath_root():
             assert _su2_cdf_mp(lo) <= ui <= _su2_cdf_mp(hi), (ui, ri)
 
 
+def test_su2_radius_dense_where_error_peaks():
+    # the absolute error peaks near r = 1.5, and u next to 1 takes the
+    # smallest half-radii through pi - s: every float u whose root lies in
+    # [1.3, 1.7] on a 2e-4 grid and its neighbours, and every float u within
+    # 1e-12 of 1, bracketed at the 1e-15 bound
+    with mpmath.workdps(40):
+        grid = [float(_su2_cdf_mp(mpmath.mpf(r))) for r in np.linspace(1.3, 1.7, 2001)]
+    u = np.concatenate([grid, np.nextafter(grid, 0.0), np.nextafter(grid, 1.0),
+                        1.0 - 2.0**-53 * np.arange(1, int(1e-12 * 2.0**53) + 1)])
+    r = _su2_radius_from_uniform(u)
+    tol = mpmath.mpf("1e-15")
+    with mpmath.workdps(40):
+        for ui, ri in zip(u, r):
+            lo, hi = mpmath.mpf(ri) - tol, min(mpmath.mpf(ri) + tol, +mpmath.pi)
+            assert _su2_cdf_mp(lo) <= ui <= _su2_cdf_mp(hi), (ui, ri)
+
+
 def _mp_digits_for(r):
     # s - sin s cos s ~ 2 s^3 / 3 cancels about -2 log10(s) digits; allow 3 a decade
     return 40 - 3 * min(0, math.floor(math.log10(r)))
 
 
 def test_su2_small_radius_relative_error():
-    # below the series seam the radius is within about one ulp, relative:
+    # below r = 1/2 the radius is within about one ulp, relative:
     # the same bracket as above with tol = 3e-16 r
     rng = np.random.default_rng(6)
     u = np.concatenate(
@@ -315,8 +348,8 @@ def test_su2_guess_within_stated_bound():
     for si in s:
         with mpmath.workdps(_mp_digits_for(si)):
             t.append(float(mpmath.mpf(si) - mpmath.sin(si) * mpmath.cos(si)))
-    guess = _su2_half_radius_guess(np.array(t))
-    assert np.max(np.abs(guess / s - 1.0)) < 5e-9
+    half = _su2_half_radius_poly(np.array(t))
+    assert np.max(np.abs(half / s - 1.0)) < 5e-16
 
 
 def test_su2_guess_coefficients_from_mpmath():

@@ -1,6 +1,7 @@
 """The experiment scripts run end to end at small sizes."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import re
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from liesig import lk_norm, parse_group, spectrum_quadrature
+from liesig import SU2Group, lk_norm, parse_group, recover, spectrum_quadrature
 from liesig.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -90,3 +91,36 @@ def test_byte_table_against_base(tmp_path):
     assert proc.returncode == 0, out
     assert re.search(r"^0 of 8 runs differ in result from [0-9a-f]{12}$", out, re.M)
     assert re.search(r"^0 of 8 runs differ in config only from [0-9a-f]{12}$", out, re.M)
+
+
+def test_seed_scan_matches_recover_and_perfbench_seeds(monkeypatch, capsys):
+    out = run_script("seed_scan.py", ["--seeds", "2", "--samples", "200000"], monkeypatch, capsys)
+    scan = runpy.run_path(str(SCRIPTS / "seed_scan.py"))
+    S = [recover(SU2Group(), 200000, seed=scan["library_seed"](s)).scalar_curvature for s in (0, 1)]
+    bad = [f"{s} (S = {x:.3f})" for s, x in enumerate(S) if not abs(x - 6.0) <= 0.9]
+    listed = ", ".join(bad) or "none"
+    assert out.splitlines()[0] == f"this checkout: {len(bad)} of 2 seeds fail |S - 6| <= 0.9: {listed}"
+    # the library seeds are those of perfbench's recover-su2 workload
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    assert [scan["library_seed"](s) for s in (0, 42, 119)] == [workloads._seeds(s, 1)[0] for s in (0, 42, 119)]
+
+
+@pytest.mark.skipif(not (ROOT / ".git").exists(), reason="--base needs a git checkout")
+def test_seed_scan_against_base(tmp_path):
+    # as test_byte_table_against_base: HEAD's tree with this checkout's scripts
+    runpy.run_path(str(SCRIPTS / "bench_pairs.py"))["export_tree"]("HEAD", tmp_path)
+    for name in ("seed_scan.py", "bench_pairs.py"):
+        shutil.copy(SCRIPTS / name, tmp_path / "scripts" / name)
+    git_dir = subprocess.run(["git", "rev-parse", "--absolute-git-dir"], cwd=ROOT, check=True,
+                             stdout=subprocess.PIPE, text=True).stdout.strip()
+    proc = subprocess.run([sys.executable, "scripts/seed_scan.py", "--seeds", "2", "--samples", "100000",
+                           "--base", "HEAD"],
+                          cwd=tmp_path, env={**os.environ, "GIT_DIR": git_dir},
+                          stdout=subprocess.PIPE, text=True)
+    out = proc.stdout
+    assert proc.returncode == 0, out
+    assert re.search(r"^0 of 2 seeds differ in n, V, S or F from [0-9a-f]{12}$", out, re.M)
