@@ -188,9 +188,7 @@ def _c9_path_pipeline():
     )
 
     h = model.exp(model.sample_log_batch(stream(6), 1)[0])
-    shifted = SampledPath(
-        model, uniform.times, tuple(model.multiply(h, p) for p in uniform.points)
-    )
+    shifted = SampledPath(model, uniform.times, tuple(model.multiply(h, np.array(uniform.points))))
     d_left = hilbert_distance(
         path_signature_numeric(uniform, N), path_signature_numeric(shifted, N)
     )

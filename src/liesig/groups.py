@@ -6,8 +6,13 @@ quaternions, and flat Riemannian products of those.  Each model exposes
   * ``exp`` / ``log`` between the Lie algebra (coordinates in a fixed
     orthonormal basis) and the group, with ``log`` principal and refusing
     points within ``CUT_TOLERANCE`` of the cut locus of the identity; the
-    identity is ``exp(0)`` and its distance to g is ``|log g|``,
-  * group multiplication and inversion,
+    identity is ``exp(0)`` and its distance to g is ``|log g|``; both
+    raise ``ValueError`` on non-finite input,
+  * group multiplication and inversion.  ``exp`` takes one algebra vector;
+    ``log``, ``multiply`` and ``inverse`` also broadcast over leading batch
+    axes: a stack of circle points is an array of angles, of SU(2) points
+    a (..., 4) array of quaternions, of product points a tuple of its
+    factors' stacks, and ``log`` of a stack is a (..., dim) array,
   * seeded Haar sampling, vectorised as ``sample_log_batch`` which returns
     the algebra vectors v = log(g) of Haar draws directly, and
     ``distance_from_uniforms`` which maps uniforms to Haar distances (on
@@ -132,12 +137,20 @@ def haar_distances(model, rng: np.random.Generator, size: int) -> np.ndarray:
     return model.distance_from_uniforms(rng.random((model.radial_uniform_dim, size)).T)
 
 
-def _wrap_angle(theta: float) -> float:
-    """Reduce to the principal range (-pi, pi]."""
-    t = math.fmod(theta + math.pi, _TWO_PI)
-    if t <= 0.0:
-        t += _TWO_PI
-    return t - math.pi
+def _wrap_angle(theta):
+    """Reduce an angle, or an array of them, to the principal range (-pi, pi]."""
+    t = np.fmod(np.add(theta, math.pi), _TWO_PI)
+    return t + np.where(t <= 0.0, _TWO_PI, 0.0) - math.pi
+
+
+def _require_finite(x, what: str) -> None:
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{what} must be finite")
+
+
+def _norm(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis."""
+    return np.sqrt(np.einsum("...i,...i->...", x, x))
 
 
 class CircleGroup:
@@ -152,19 +165,22 @@ class CircleGroup:
         v = np.asarray(v, dtype=np.float64)
         if v.shape != (1,):
             raise ValueError("circle algebra vectors have one coordinate")
-        return _wrap_angle(float(v[0]))
+        _require_finite(v, "circle algebra vectors")
+        return float(_wrap_angle(v[0]))
 
-    def log(self, g: float) -> np.ndarray:
-        theta = _wrap_angle(float(g))
-        if math.pi - abs(theta) < CUT_TOLERANCE:
+    def log(self, g) -> np.ndarray:
+        g = np.asarray(g, dtype=np.float64)
+        _require_finite(g, "angles")
+        theta = _wrap_angle(g)
+        if np.any(math.pi - np.abs(theta) < CUT_TOLERANCE):
             raise CutLocusError("angle within tolerance of the antipode")
-        return np.array([theta])
+        return theta[..., None]
 
-    def multiply(self, a: float, b: float) -> float:
-        return _wrap_angle(float(a) + float(b))
+    def multiply(self, a, b):
+        return _wrap_angle(np.add(a, b))
 
-    def inverse(self, a: float) -> float:
-        return _wrap_angle(-float(a))
+    def inverse(self, a):
+        return _wrap_angle(np.negative(a))
 
     def sample_log_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
         # theta in (-pi, pi]: a log of a Haar draw even within CUT_TOLERANCE
@@ -372,36 +388,46 @@ class SU2Group:
         v = np.asarray(v, dtype=np.float64)
         if v.shape != (3,):
             raise ValueError("su(2) algebra vectors have three coordinates")
-        r = float(np.linalg.norm(v))
-        q = np.empty(4)
-        q[0] = math.cos(r)
-        q[1:] = v * np.sinc(r / math.pi)  # sin(r)/r, exact limit 1 at r=0
-        return q / np.linalg.norm(q)
+        x, y, z = v.tolist()
+        r = math.hypot(x, y, z)
+        if not math.isfinite(r):  # hypot is inf or nan if any coordinate is
+            raise ValueError("su(2) algebra vectors must be finite")
+        k = math.sin(r) / r if r > 0.0 else 1.0
+        q = (math.cos(r), x * k, y * k, z * k)
+        n = math.hypot(*q)
+        return np.array([c / n for c in q])
 
     def log(self, g) -> np.ndarray:
         q = np.asarray(g, dtype=np.float64)
-        if q.shape != (4,) or abs(np.linalg.norm(q) - 1.0) > 1e-12:
-            raise ValueError("expected a unit quaternion (w, x, y, z)")
-        s = float(np.linalg.norm(q[1:]))
-        r = math.atan2(s, float(q[0]))
-        if math.pi - r < CUT_TOLERANCE:
+        # written so that a nan norm fails the unit check
+        if q.shape[-1:] != (4,) or not np.all(np.abs(_norm(q) - 1.0) <= 1e-12):
+            raise ValueError("expected finite unit quaternions (w, x, y, z)")
+        v = q[..., 1:]
+        s = _norm(v)
+        r = np.arctan2(s, q[..., 0])
+        if np.any(math.pi - r < CUT_TOLERANCE):
             raise CutLocusError("quaternion within tolerance of -1")
-        if s < 1e-300:
-            return np.zeros(3)
-        return q[1:] * (r / s)
+        big = s >= 1e-300
+        scale = np.divide(r, s, out=np.zeros_like(s), where=big)
+        return np.where(big[..., None], v * scale[..., None], 0.0)
 
     def multiply(self, a, b) -> np.ndarray:
-        aw, av = a[0], np.asarray(a[1:])
-        bw, bv = b[0], np.asarray(b[1:])
-        (x1, y1, z1), (x2, y2, z2) = av.tolist(), bv.tolist()
-        out = np.empty(4)
-        out[0] = aw * bw - av @ bv
-        out[1:] = aw * bv + bw * av + [y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2]
-        return out / np.linalg.norm(out)
+        aw, ax, ay, az = np.moveaxis(np.asarray(a, dtype=np.float64), -1, 0)
+        bw, bx, by, bz = np.moveaxis(np.asarray(b, dtype=np.float64), -1, 0)
+        out = np.stack(
+            [
+                aw * bw - (ax * bx + ay * by + az * bz),
+                aw * bx + bw * ax + (ay * bz - az * by),
+                aw * by + bw * ay + (az * bx - ax * bz),
+                aw * bz + bw * az + (ax * by - ay * bx),
+            ],
+            axis=-1,
+        )
+        return out / _norm(out)[..., None]
 
     def inverse(self, a) -> np.ndarray:
-        q = np.asarray(a, dtype=np.float64).copy()
-        q[1:] = -q[1:]
+        q = np.array(a, dtype=np.float64)
+        q[..., 1:] = -q[..., 1:]
         return q
 
     def sample_log_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -452,10 +478,7 @@ class ProductGroup:
         return tuple(f.exp(v[s]) for f, s in zip(self.factors, self._slices))
 
     def log(self, g) -> np.ndarray:
-        out = np.empty(self.dim)
-        for f, s, gi in zip(self.factors, self._slices, g):
-            out[s] = f.log(gi)
-        return out
+        return np.concatenate([f.log(gi) for f, gi in zip(self.factors, g)], axis=-1)
 
     def multiply(self, a, b):
         return tuple(f.multiply(ai, bi) for f, ai, bi in zip(self.factors, a, b))

@@ -9,6 +9,12 @@ order, pairwise in a tree (the product is associative).  Chord signatures
 and Chen composition are exact, so the only error is the piecewise-geodesic
 replacement of the path, first order in the mesh for C^1 paths.  The caller
 picks the mesh: a chord that crosses the cut locus raises ``MeshError``.
+
+Every stage is batched over chords.  ``chord_increments`` stacks the points
+once and takes all m increments with one broadcast ``inverse``,
+``multiply`` and ``log`` of the group model, as an (m, dim) array;
+``_block_signature`` exponentiates and Chen-multiplies whole blocks of
+those rows.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from functools import reduce
 
 import numpy as np
 
-from .groups import CutLocusError
+from .groups import CutLocusError, ProductGroup
 from .tensor import TruncatedTensorSeries, _check_budget, concat_product
 
 _BLOCK_COEFFS = 1 << 22  # chords are reduced in blocks of at most this many coefficients
@@ -56,18 +62,26 @@ class SampledPath:
         object.__setattr__(self, "points", tuple(self.points))
 
 
-def chord_increments(path: SampledPath) -> list[np.ndarray]:
-    """Algebra increments u_i = log(g_i^{-1} g_{i+1}) of consecutive chords."""
+def _chord_ends(model, points) -> tuple:
+    """Stacked starts g_0..g_{m-1} and ends g_1..g_m of the chords, in the
+    model's batch layout: an array of angles or of (w, x, y, z) rows, or
+    for a product one such stack per factor."""
+    if isinstance(model, ProductGroup):
+        ends = [_chord_ends(f, col) for f, col in zip(model.factors, zip(*points))]
+        return tuple(a for a, _ in ends), tuple(b for _, b in ends)
+    g = np.asarray(points, dtype=np.float64)
+    return g[:-1], g[1:]
+
+
+def chord_increments(path: SampledPath) -> np.ndarray:
+    """Algebra increments u_i = log(g_i^{-1} g_{i+1}) of consecutive chords,
+    one row per chord: an (m, dim) array."""
     model = path.model
-    out = []
-    for a, b in zip(path.points[:-1], path.points[1:]):
-        try:
-            out.append(model.log(model.multiply(model.inverse(a), b)))
-        except CutLocusError as exc:
-            raise MeshError(
-                "a chord crosses the cut locus; refine the sampling mesh"
-            ) from exc
-    return out
+    a, b = _chord_ends(model, path.points)
+    try:
+        return model.log(model.multiply(model.inverse(a), b))
+    except CutLocusError as exc:
+        raise MeshError("a chord crosses the cut locus; refine the sampling mesh") from exc
 
 
 def _block_signature(u: np.ndarray, N: int) -> TruncatedTensorSeries:
@@ -98,7 +112,7 @@ def path_signature_numeric(path: SampledPath, N: int) -> TruncatedTensorSeries:
     chords reduced by ``_block_signature`` and folded left to right."""
     n = path.model.dim
     _check_budget(n, N)
-    u = np.array(chord_increments(path), dtype=np.float64)
+    u = chord_increments(path)
     step = max(1, _BLOCK_COEFFS // max(1, sum(n**k for k in range(1, N + 1))))
     blocks = np.split(u, range(step, len(u), step))
     return reduce(concat_product, (_block_signature(b, N) for b in blocks))

@@ -232,6 +232,63 @@ def test_product_log_splits():
     assert np.allclose(v[1:], model.factors[1].log(g[1]))
 
 
+def stack_points(model, points):
+    # the batch layout: angles, (n, 4) quaternions, or a tuple of factor stacks
+    if isinstance(model, ProductGroup):
+        return tuple(stack_points(f, col) for f, col in zip(model.factors, zip(*points)))
+    return np.asarray(points, dtype=np.float64)
+
+
+@pytest.mark.parametrize("spec", list(DIAMETER))
+def test_batched_ops_match_one_point_at_a_time(spec):
+    model = parse_group(spec)
+    va, vb = (model.sample_log_batch(stream(s), 500) for s in (21, 22))
+    a = [model.exp(v) for v in va]
+    b = [model.exp(v) for v in vb]
+    A, B = stack_points(model, a), stack_points(model, b)
+    prod = model.multiply(model.inverse(A), B)
+    ref = [model.multiply(model.inverse(x), y) for x, y in zip(a, b)]
+    got, want = model.log(prod), np.array([model.log(g) for g in ref])
+    assert got.shape == (500, model.dim)
+    assert got.tobytes() == want.tobytes()  # bitwise: same arithmetic per point
+
+
+def test_su2_batched_multiply_matches_matrix_product():
+    s = SU2Group()
+    rng = np.random.default_rng(4)
+    a = np.array([s.exp(v) for v in rng.standard_normal((50, 3))])
+    b = np.array([s.exp(v) for v in rng.standard_normal((50, 3))])
+    ab = s.multiply(a, b)
+    assert ab.shape == (50, 4)
+    for i in range(50):
+        assert np.allclose(quat_to_matrix(ab[i]), quat_to_matrix(a[i]) @ quat_to_matrix(b[i]), atol=1e-12)
+    # a batch against one point broadcasts
+    assert np.array_equal(s.multiply(a[0], b), np.array([s.multiply(a[0], y) for y in b]))
+    assert np.array_equal(s.inverse(a)[:, 1:], -a[:, 1:])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_points_fail_loudly(bad):
+    s, c = SU2Group(), CircleGroup()
+    p = parse_group("product:su2,circle")
+    with pytest.raises(ValueError):
+        s.log(np.array([bad, 0.0, 0.0, 0.0]))  # a nan norm once read as the identity
+    with pytest.raises(ValueError):
+        s.log(np.array([[1.0, 0.0, 0.0, 0.0], [0.0, bad, 0.0, 0.0]]))
+    with pytest.raises(ValueError):
+        s.exp(np.array([0.1, bad, 0.0]))
+    with pytest.raises(ValueError):
+        c.exp(np.array([bad]))
+    with pytest.raises(ValueError):
+        c.log(bad)
+    with pytest.raises(ValueError):
+        c.log(np.array([0.5, bad, -0.5]))
+    with pytest.raises(ValueError):
+        p.exp(np.array([0.1, 0.2, 0.3, bad]))
+    with pytest.raises(ValueError):
+        p.log((np.array([[1.0, 0.0, 0.0, 0.0]] * 2), np.array([0.1, bad])))
+
+
 # -- radial CDF agreement --------------------------------------------------------
 
 

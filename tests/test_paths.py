@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import liesig.paths as paths
-from liesig.groups import CircleGroup, SU2Group, parse_group
+from liesig.groups import CircleGroup, CutLocusError, SU2Group, parse_group
 from liesig.paths import (
     MeshError,
     SampledPath,
@@ -26,10 +26,17 @@ def su2_curve(a=0.4, b=0.3):
     return model, curve
 
 
+def per_chord_increments(path):
+    # one group composition per chord, as chord_increments did before it was batched
+    model = path.model
+    pairs = zip(path.points[:-1], path.points[1:])
+    return np.array([model.log(model.multiply(model.inverse(a), b)) for a, b in pairs])
+
+
 def fold_oracle(path, N):
     # chord signatures multiplied in one at a time, left to right
     sig = exp_tensor(np.zeros(path.model.dim), N)
-    for u in chord_increments(path):
+    for u in per_chord_increments(path):
         sig = concat_product(sig, exp_tensor(u, N))
     return sig
 
@@ -53,6 +60,53 @@ def oracle_curve(group):
 
 def max_abs_diff(a, b):
     return max(float(np.max(np.abs(x - y))) for x, y in zip(a.levels, b.levels))
+
+
+@pytest.mark.parametrize("chords", [1, 2, 3, 64, 2047])
+@pytest.mark.parametrize("group", ["su2", "circle", "product:su2,circle"])
+def test_batched_increments_match_per_chord_composition(group, chords):
+    model, curve = oracle_curve(group)
+    path = sample_curve(model, curve, chords)
+    u, ref = chord_increments(path), per_chord_increments(path)
+    assert u.shape == (chords, model.dim)
+    # measured: bitwise equal on every case here; the bound allows 2 ulp per entry
+    assert np.all(np.abs(u - ref) <= 2 * np.spacing(np.abs(ref)))
+
+
+def path_with_one_cut_chord(group, chords, j):
+    # chord j ends at the antipode of its start; every other chord is short
+    model, curve = oracle_curve(group)
+    times = np.linspace(0.0, 1.0, chords + 1)
+    pts = [curve(float(t)) for t in times[:chords]]
+
+    def flip(p):
+        if group == "su2":
+            return -p
+        if group == "circle":
+            return model.multiply(p, PI)
+        return (-p[0], p[1])  # the su2 factor crosses
+
+    pts = pts[: j + 1] + [flip(p) for p in pts[j:]]
+    return SampledPath(model, times, tuple(pts))
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("group", ["su2", "circle", "product:su2,circle"])
+def test_one_cut_chord_raises_mesh_error(group, where):
+    chords = 64
+    j = {"first": 0, "middle": chords // 2, "last": chords - 1}[where]
+    path = path_with_one_cut_chord(group, chords, j)
+    per_chord = []
+    for i, (a, b) in enumerate(zip(path.points[:-1], path.points[1:])):
+        try:
+            path.model.log(path.model.multiply(path.model.inverse(a), b))
+        except CutLocusError:
+            per_chord.append(i)
+    assert per_chord == [j]  # exactly one chord crosses
+    with pytest.raises(MeshError):
+        chord_increments(path)
+    with pytest.raises(MeshError):
+        path_signature_numeric(path, 3)
 
 
 @pytest.mark.parametrize("chords", [1, 2, 3, 5, 64, 2047])
