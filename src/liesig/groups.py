@@ -407,9 +407,8 @@ class SU2Group:
         r = np.arctan2(s, q[..., 0])
         if np.any(math.pi - r < CUT_TOLERANCE):
             raise CutLocusError("quaternion within tolerance of -1")
-        big = s >= 1e-300
-        scale = np.divide(r, s, out=np.zeros_like(s), where=big)
-        return np.where(big[..., None], v * scale[..., None], 0.0)
+        scale = np.divide(r, s, out=np.zeros_like(s), where=s >= 1e-300)
+        return v * scale[..., None]
 
     def multiply(self, a, b) -> np.ndarray:
         aw, ax, ay, az = np.moveaxis(np.asarray(a, dtype=np.float64), -1, 0)
