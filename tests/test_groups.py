@@ -272,7 +272,7 @@ def test_non_finite_points_fail_loudly(bad):
     s, c = SU2Group(), CircleGroup()
     p = parse_group("product:su2,circle")
     with pytest.raises(ValueError):
-        s.log(np.array([bad, 0.0, 0.0, 0.0]))  # a nan norm once read as the identity
+        s.log(np.array([bad, 0.0, 0.0, 0.0]))  # a nan norm must fail the unit check
     with pytest.raises(ValueError):
         s.log(np.array([[1.0, 0.0, 0.0, 0.0], [0.0, bad, 0.0, 0.0]]))
     with pytest.raises(ValueError):

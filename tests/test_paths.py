@@ -27,7 +27,7 @@ def su2_curve(a=0.4, b=0.3):
 
 
 def per_chord_increments(path):
-    # one group composition per chord, as chord_increments did before it was batched
+    # one group composition per chord: the reference for the batched chord_increments
     model = path.model
     pairs = zip(path.points[:-1], path.points[1:])
     return np.array([model.log(model.multiply(model.inverse(a), b)) for a, b in pairs])
