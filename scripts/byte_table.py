@@ -65,9 +65,11 @@ COMMANDS = [
     "average --group torus:4 --method closed_form --depth 40",
     "average --group torus:4 --method product_shuffle --depth 40",
     "recover --group circle --samples 200000 --seed 7",
+    "recover --group product:su2,circle --samples 200000 --seed 7",
     "recover --group su2 --half-depth 3",
     "recover --group su2 --samples 100 --seed 7",
     "recover --group su2 --samples 200000 --seed 7",
+    "recover --group su2 --samples 2500000 --seed 7",
     "recover --group torus:2 --samples 200000 --seed 7",
     "spectrum --group circle --method closed_form --half-depth 20",
     "spectrum --group circle --method quadrature --half-depth 12",

@@ -30,9 +30,11 @@ for the small-ball asymptotics, sampled distances) and produces:
     F(eps) = (w_n / V) eps^n (1 - S eps^2 / (6(n+2)) + O(eps^3)),
     fit on the radii ``EPS_GRID`` against an empirical radial CDF.
 
-The empirical CDF supports plain seeded Monte Carlo ("iid", binomial
-errors) and a chunked scrambled-Sobol scheme ("qmc"), both chunked and
-threaded by ``groups.map_chunks``.  The qmc scheme stratifies each chunk of
+The empirical CDF counts, chunk by chunk, the draws within each radius named
+before the draw, and keeps no draw; it refuses to answer at any other
+radius.  It supports plain seeded Monte Carlo ("iid", binomial errors) and
+a chunked scrambled-Sobol scheme ("qmc"), both chunked and threaded by
+``groups.map_chunks``.  The qmc scheme stratifies each chunk of
 2^21 draws, shrinking CDF error from N^(-1/2) towards N^(-1); the curvature
 fit needs that: at 10^7 iid samples the binomial Fisher bound on the fitted
 S is several times looser than the accuracy the qmc route delivers, so
@@ -76,7 +78,7 @@ PAIRING_TOL = 0.02
 FIT_WINDOW = 0.5
 DIAMETER_MIN_K = 4
 EPS_GRID = tuple(np.geomspace(0.05, 0.3, 8))
-ROUND_TOLERANCE = 0.35
+ROUND_TOLERANCE = 0.2
 TABLE_RADII = 12
 # ``_erfc_fixed`` steps from anchors 2^-_ERFC_STEP apart and works
 # _ERFC_GUARD bits below its 2^-wp unit.  Its error is at most 1/2 unit
@@ -390,54 +392,52 @@ def ball_volume_from_moments(
 # -- empirical ball volumes --------------------------------------------------
 
 
-def _radii(model, samples: int, seed: int, scheme: str, threads: int) -> np.ndarray:
-    """Distances d(e, g) of ``samples`` Haar draws, from uniforms alone.
-
-    iid chunk c is ``haar_distances`` on stream(seed, c), the distances of
-    the Monte Carlo spectrum's chunk c; qmc chunk c maps Sobol points
-    scrambled with a seed from SeedSequence((seed, c)) through
-    ``model.distance_from_uniforms``.  Each chunk writes its own slice, so
-    the radii do not depend on ``threads``.
-    """
-    if scheme == "qmc":
-        # scipy's first load comes before the radii buffer, not on top of it in peak RSS
-        from scipy.stats import qmc
-    out = np.empty(samples)
-
-    def iid(c, start, size):
-        out[start : start + size] = haar_distances(model, stream(seed, c), size)
-
-    def sobol(c, start, size):
-        sob_seed = int(np.random.SeedSequence((seed, c)).generate_state(1)[0])
-        u = qmc.Sobol(model.radial_uniform_dim, scramble=True, seed=sob_seed).random(size)
-        out[start : start + size] = model.distance_from_uniforms(u)
-
-    fn, chunk = (iid, IID_CHUNK) if scheme == "iid" else (sobol, QMC_CHUNK)
-    # the filters are process-wide, so they also cover the pool's workers
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message=".*balance properties of Sobol.*")
-        list(map_chunks(fn, samples, chunk, threads))
-    return out
-
-
 class RadialCdfEstimator:
-    """Empirical CDF of d(e, g) from one seeded sample stream.
+    """Empirical CDF of d(e, g) at radii named before the draw.
 
-    Calling it at radius R returns (fraction of distances <= R, binomial
-    standard error).  ``threads`` changes only how fast the distances are
-    drawn, never their values.
+    Each chunk counts its distances d <= R at every radius R in ``radii``,
+    and ``map_chunks`` sums the integer counts, so no draw is kept.  iid
+    chunk c is ``haar_distances`` on stream(seed, c), the distances of the
+    Monte Carlo spectrum's chunk c; qmc chunk c maps Sobol points scrambled
+    with a seed from SeedSequence((seed, c)) through
+    ``model.distance_from_uniforms``.  The counts do not depend on
+    ``threads``.  Calling it at a named radius R returns (count / samples,
+    binomial standard error); any other radius, and a non-finite one at
+    construction, raises ``ValueError``.
     """
 
-    def __init__(self, model, samples: int, seed: int, scheme: str = "qmc", threads: int = 1):
+    def __init__(self, model, samples: int, seed: int, radii, scheme: str = "qmc", threads: int = 1):
         if scheme not in ("iid", "qmc"):
             raise ValueError("scheme must be 'iid' or 'qmc'")
-        radii = _radii(model, samples, seed, scheme, threads)
-        radii.sort()
+        radii = [float(R) for R in radii]
+        for R in radii:
+            if not math.isfinite(R):
+                raise ValueError(f"radius {R} is not finite")
+        if scheme == "qmc":
+            from scipy.stats import qmc
+
+        def counts(c, _start, size):
+            if scheme == "iid":
+                d = haar_distances(model, stream(seed, c), size)
+            else:
+                sob_seed = int(np.random.SeedSequence((seed, c)).generate_state(1)[0])
+                u = qmc.Sobol(model.radial_uniform_dim, scramble=True, seed=sob_seed).random(size)
+                d = model.distance_from_uniforms(u)
+            return np.array([np.count_nonzero(d <= R) for R in radii], dtype=np.int64)
+
+        chunk = IID_CHUNK if scheme == "iid" else QMC_CHUNK
+        # the filters are process-wide, so they also cover the pool's workers
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", message=".*balance properties of Sobol.*")
+            total = sum(map_chunks(counts, samples, chunk, threads))
         self.samples = samples
-        self._radii = radii
+        self._counts = dict(zip(radii, total.tolist()))
 
     def __call__(self, R: float) -> tuple[float, float]:
-        F = float(np.searchsorted(self._radii, R, side="right")) / self.samples
+        count = self._counts.get(float(R))
+        if count is None:
+            raise ValueError(f"radius {R} was not named when the draws were counted")
+        F = count / self.samples
         se = math.sqrt(max(F * (1.0 - F), 1e-30) / self.samples)
         return F, se
 
@@ -552,24 +552,19 @@ def recover(
 ) -> RecoveryReport:
     """Spectrum -> diameter -> F -> small-ball pipeline.
 
-    The Monte Carlo spectrum feeds the diameter estimate; the ball-volume
-    table (``TABLE_RADII`` radii) and the small-ball fit (at ``EPS_GRID``)
-    use the qmc radial CDF from the same seed.
+    The Monte Carlo spectrum feeds the diameter estimate, which places the
+    ball-volume table's ``TABLE_RADII`` radii; one qmc radial CDF from the
+    same seed then counts the draws at those radii and at ``EPS_GRID`` for
+    the small-ball fit.
     """
     if K < DIAMETER_MIN_K:  # diameter_estimate's refusal, before any draw
         raise ValueError(f"diameter estimation needs K >= {DIAMETER_MIN_K}")
     spec = spectrum_monte_carlo(model, K, samples, seed, threads=threads)
     diam = diameter_estimate(spec)
-    radial = RadialCdfEstimator(model, samples, seed, threads=threads)
+    table_radii = np.linspace(0.05 * diam.value, diam.value, TABLE_RADII).tolist()
+    radial = RadialCdfEstimator(model, samples, seed, EPS_GRID + tuple(table_radii), threads=threads)
     fit = small_ball_recovery(radial)
-    # reports promise a tighter slope-to-integer gap than ROUND_TOLERANCE
-    if abs(fit.dimension_raw - fit.dimension) > 0.2:
-        raise AmbiguousDimension(
-            f"slope {fit.dimension_raw:.3f} too uncertain for a trustworthy report"
-        )
-    table = []
-    for R in np.linspace(0.05 * diam.value, diam.value, TABLE_RADII):
-        table.append((float(R), radial(float(R))[0]))
+    table = [(R, radial(R)[0]) for R in table_radii]
     diagnostics = {
         "diameter": diam.to_json_dict(),
         "small_ball": fit.diagnostics,

@@ -1,5 +1,7 @@
 import functools
 import math
+import tracemalloc
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from liesig import recovery
-from liesig.groups import CircleGroup, ProductGroup, SU2Group, parse_group
+from liesig.groups import CircleGroup, ProductGroup, SU2Group, haar_distances, parse_group, stream
 from liesig.recovery import (
     AmbiguousDimension,
     FitFailure,
@@ -124,10 +126,11 @@ def test_moment_cdf_agrees_with_empirical_on_grid():
     ]
     for spec, model in cases:
         dmax = diameter_estimate(spec).value
-        cdf = RadialCdfEstimator(model, 10**6, seed=5, scheme="iid")
-        for R in np.linspace(0.1 * dmax, 0.9 * dmax, 9):
-            Fm = ball_volume_from_moments(spec, float(R), 40, dmax=dmax)
-            Fe, _ = cdf(float(R))
+        radii = np.linspace(0.1 * dmax, 0.9 * dmax, 9).tolist()
+        cdf = RadialCdfEstimator(model, 10**6, 5, radii, scheme="iid")
+        for R in radii:
+            Fm = ball_volume_from_moments(spec, R, 40, dmax=dmax)
+            Fe, _ = cdf(R)
             assert abs(Fm - Fe) < 0.025
 
 
@@ -460,53 +463,123 @@ def test_erfc_fixed_around_saturation(wp, side):
 
 
 def test_ball_volume_empirical_circle():
-    F, se = RadialCdfEstimator(CircleGroup(), 10**6, seed=1, scheme="iid")(PI / 2)
+    F, se = RadialCdfEstimator(CircleGroup(), 10**6, 1, [PI / 2], scheme="iid")(PI / 2)
     assert abs(F - 0.5) <= 4 * se
     assert 4e-4 < se < 6e-4
 
 
 def test_ball_volume_empirical_su2():
-    F, se = RadialCdfEstimator(SU2Group(), 10**5, seed=2, scheme="iid")(PI / 2)
+    F, se = RadialCdfEstimator(SU2Group(), 10**5, 2, [PI / 2], scheme="iid")(PI / 2)
     assert abs(F - 0.5) <= 4 * se
 
 
 def test_ball_volume_full_radius():
-    F, _ = RadialCdfEstimator(CircleGroup(), 10**4, seed=3, scheme="iid")(PI)
+    F, _ = RadialCdfEstimator(CircleGroup(), 10**4, 3, [PI], scheme="iid")(PI)
     assert F == 1.0
 
 
 def test_radial_cdf_estimator_monotone_and_deterministic():
-    cdf1 = RadialCdfEstimator(SU2Group(), 10**5, seed=4, scheme="qmc")
-    cdf2 = RadialCdfEstimator(SU2Group(), 10**5, seed=4, scheme="qmc")
-    grid = np.linspace(0.1, 3.0, 12)
-    v1 = [cdf1(float(r))[0] for r in grid]
-    v2 = [cdf2(float(r))[0] for r in grid]
+    grid = np.linspace(0.1, 3.0, 12).tolist()
+    cdf1 = RadialCdfEstimator(SU2Group(), 10**5, 4, grid, scheme="qmc")
+    cdf2 = RadialCdfEstimator(SU2Group(), 10**5, 4, grid, scheme="qmc")
+    v1 = [cdf1(r)[0] for r in grid]
+    v2 = [cdf2(r)[0] for r in grid]
     assert v1 == v2
     assert all(b >= a for a, b in zip(v1, v1[1:]))
     with pytest.raises(ValueError):
-        RadialCdfEstimator(SU2Group(), 100, seed=0, scheme="bogus")
+        RadialCdfEstimator(SU2Group(), 100, 0, grid, scheme="bogus")
+
+
+def sorted_draws(model, samples, seed, scheme):
+    """Every distance the estimator counts, drawn chunk by chunk as it draws them, sorted."""
+    from scipy.stats import qmc
+
+    chunk = recovery.IID_CHUNK if scheme == "iid" else recovery.QMC_CHUNK
+    parts = []
+    for c, start in enumerate(range(0, samples, chunk)):
+        size = min(chunk, samples - start)
+        if scheme == "iid":
+            parts.append(haar_distances(model, stream(seed, c), size))
+            continue
+        sob_seed = int(np.random.SeedSequence((seed, c)).generate_state(1)[0])
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", message=".*balance properties of Sobol.*")
+            u = qmc.Sobol(model.radial_uniform_dim, scramble=True, seed=sob_seed).random(size)
+        parts.append(model.distance_from_uniforms(u))
+    return np.sort(np.concatenate(parts))
+
+
+def sorted_F(d, R):
+    """The share of the sorted draws ``d`` within R: ties count."""
+    return float(np.searchsorted(d, R, side="right")) / d.size
+
+
+def small_chunks(monkeypatch):
+    """Chunks small enough that a run of 10_001 draws spans several."""
+    monkeypatch.setattr(recovery, "QMC_CHUNK", 1 << 12)
+    monkeypatch.setattr(recovery, "IID_CHUNK", 1 << 10)
+
+
+@pytest.mark.parametrize("scheme", ["iid", "qmc"])
+@pytest.mark.parametrize("group", ["circle", "su2", "torus:2", "product:su2,circle"])
+def test_radial_cdf_counts_match_a_sort_of_the_draws(monkeypatch, group, scheme):
+    small_chunks(monkeypatch)
+    model = parse_group(group)
+    d = sorted_draws(model, 10_001, 7, scheme)
+    # drawn values (the largest among them), a grid, and radii past the diameter
+    radii = d[::1000].tolist() + [d[-1]] + np.linspace(0.0, 3.0, 7).tolist() + [10.0, 1e300]
+    cdf = RadialCdfEstimator(model, 10_001, 7, radii, scheme=scheme)
+    assert [cdf(R)[0] for R in radii] == [sorted_F(d, R) for R in radii]
+    assert cdf(d[-1])[0] == cdf(10.0)[0] == 1.0
 
 
 @pytest.mark.parametrize("scheme", ["iid", "qmc"])
 def test_radial_cdf_threads_bitwise(monkeypatch, scheme):
-    # small chunks so a modest run spans several of them
-    monkeypatch.setattr(recovery, "QMC_CHUNK", 1 << 12)
-    monkeypatch.setattr(recovery, "IID_CHUNK", 1 << 10)
+    small_chunks(monkeypatch)
     model = parse_group("product:su2,circle")
-    one = RadialCdfEstimator(model, 10_001, seed=7, scheme=scheme, threads=1)
-    two = RadialCdfEstimator(model, 10_001, seed=7, scheme=scheme, threads=2)
-    assert np.array_equal(one._radii, two._radii)
+    d = sorted_draws(model, 10_001, 7, scheme)
+    radii = d[::250].tolist()
+    for threads in (1, 2):
+        cdf = RadialCdfEstimator(model, 10_001, 7, radii, scheme=scheme, threads=threads)
+        assert [cdf(R)[0] for R in radii] == [sorted_F(d, R) for R in radii]
+
+
+def test_radial_cdf_memory_does_not_grow_with_samples():
+    # 2 * 10^6 radii would take 16 MB; the counts of 20 radii take bytes
+    radii = np.linspace(0.1, 3.0, 20).tolist()
+    tracemalloc.start()
+    try:
+        RadialCdfEstimator(SU2Group(), 2_000_000, 3, radii, scheme="iid")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 10**6
+
+
+def test_radial_cdf_refuses_radii_it_did_not_count(monkeypatch):
+    cdf = RadialCdfEstimator(CircleGroup(), 1000, 0, [1.0, 2.0], scheme="iid")
+    with pytest.raises(ValueError, match=r"^radius 1\.5 was not named when the draws were counted$"):
+        cdf(1.5)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("draws made for a radius the estimator refuses")
+
+    monkeypatch.setattr(recovery, "haar_distances", unreachable)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=rf"^radius {bad} is not finite$"):
+            RadialCdfEstimator(CircleGroup(), 1000, 0, [1.0, bad], scheme="iid")
 
 
 def test_qmc_beats_iid_on_circle_cdf():
     n = 10**5
     worst_qmc = worst_iid = 0.0
     for seed in range(3):
-        q = RadialCdfEstimator(CircleGroup(), n, seed=seed, scheme="qmc")
-        i = RadialCdfEstimator(CircleGroup(), n, seed=seed, scheme="iid")
-        for R in np.linspace(0.2, 3.0, 8):
-            worst_qmc = max(worst_qmc, abs(q(float(R))[0] - circle_F(R)))
-            worst_iid = max(worst_iid, abs(i(float(R))[0] - circle_F(R)))
+        radii = np.linspace(0.2, 3.0, 8).tolist()
+        q = RadialCdfEstimator(CircleGroup(), n, seed, radii, scheme="qmc")
+        i = RadialCdfEstimator(CircleGroup(), n, seed, radii, scheme="iid")
+        for R in radii:
+            worst_qmc = max(worst_qmc, abs(q(R)[0] - circle_F(R)))
+            worst_iid = max(worst_iid, abs(i(R)[0] - circle_F(R)))
     assert worst_qmc < worst_iid / 5
 
 
@@ -536,7 +609,7 @@ def test_small_ball_exact_su2():
 
 
 def test_small_ball_empirical_circle():
-    cdf = RadialCdfEstimator(CircleGroup(), 10**6, seed=6, scheme="qmc")
+    cdf = RadialCdfEstimator(CircleGroup(), 10**6, 6, recovery.EPS_GRID, scheme="qmc")
     fit = small_ball_recovery(cdf)
     assert fit.dimension == 1
     assert abs(fit.volume - 2 * PI) / (2 * PI) < 0.01
@@ -548,6 +621,12 @@ def test_small_ball_errors():
         small_ball_recovery(exact_handle(lambda R: R**1.5 / 10))
     with pytest.raises(FitFailure):
         small_ball_recovery(exact_handle(lambda R: 0.0))
+
+
+def test_small_ball_refuses_slope_a_quarter_from_an_integer():
+    # one tolerance: the slope that reaches a report is within 0.2 of n
+    with pytest.raises(AmbiguousDimension, match=r"^log-log slope 1\.250 is not within 0\.2 of a positive integer$"):
+        small_ball_recovery(exact_handle(lambda R: R**1.25 / 10))
 
 
 # -- full pipeline -----------------------------------------------------------------------
@@ -587,10 +666,14 @@ def test_recover_product_dimension_additivity():
 
 def test_iid_radii_read_the_spectrum_stream():
     # the iid CDF and the Monte Carlo spectrum share IID_CHUNK, so they draw
-    # the same samples: the mean squared radius is the spectrum's r_2
-    radii = recovery._radii(SU2Group(), 200_001, 5, "iid", 1)
+    # the same samples: the CDF counts the draws of ``sorted_draws``, whose
+    # mean square is the spectrum's r_2
+    d = sorted_draws(SU2Group(), 200_001, 5, "iid")
+    radii = d[::10_000].tolist()
+    cdf = RadialCdfEstimator(SU2Group(), 200_001, 5, radii, scheme="iid")
+    assert [cdf(R)[0] for R in radii] == [sorted_F(d, R) for R in radii]
     r2 = spectrum_monte_carlo(SU2Group(), 1, 200_001, 5).values[1]
-    assert np.mean(radii**2) == pytest.approx(r2, rel=1e-13, abs=0.0)
+    assert np.mean(d**2) == pytest.approx(r2, rel=1e-13, abs=0.0)
 
 
 def test_iid_cdf_and_recover_draw_no_logs(monkeypatch):
@@ -601,7 +684,7 @@ def test_iid_cdf_and_recover_draw_no_logs(monkeypatch):
     for cls in (CircleGroup, SU2Group, ProductGroup):
         monkeypatch.setattr(cls, "sample_log_batch", refuse)
     for group in ("circle", "su2", "product:su2,circle"):
-        RadialCdfEstimator(parse_group(group), 70_001, seed=2, scheme="iid", threads=2)
-    F, se = RadialCdfEstimator(SU2Group(), 10**5, seed=2, scheme="iid")(PI / 2)
+        RadialCdfEstimator(parse_group(group), 70_001, 2, [PI / 2], scheme="iid", threads=2)
+    F, se = RadialCdfEstimator(SU2Group(), 10**5, 2, [PI / 2], scheme="iid")(PI / 2)
     assert abs(F - 0.5) <= 4 * se
     assert recover(SU2Group(), samples=10**6, seed=4, K=8).dimension == 3
