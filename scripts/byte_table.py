@@ -60,6 +60,7 @@ COMMANDS = [
     "average --group su2 --method quadrature --depth 7",
     "average --group torus:2 --method closed_form --depth 8",
     "average --group torus:2 --method monte_carlo --depth 8 --samples 50000 --seed 4",
+    "average --group torus:2 --method monte_carlo --depth 8 --samples 50000 --seed 5",
     "average --group torus:3 --method closed_form --depth 6",
     "average --group torus:3 --method product_shuffle --depth 6",
     "average --group torus:4 --method closed_form --depth 40",

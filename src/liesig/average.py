@@ -10,18 +10,17 @@ computed four ways:
     (Gauss-Legendre) and M_k its ``direction_moment(k)``, the moment
     tensor of v/|v| (for SU(2) the uniform measure on S^2),
   * Monte Carlo -- chunked, seeded, thread-count independent, with
-    per-coefficient standard errors.  Level k is the symmetric tensor
-    E[v^{(x)k}]/k!, so each chunk sums the C(n+k-1, k) monomials
-    v^alpha/k! and their squares instead of the n^k words; the means and
-    standard errors expand to words once, at the end
-    (``tensor.expand_words``),
+    per-coefficient standard errors,
   * the product rule -- the level-N average of a Riemannian product is
-    sum_k [k!(N-k)!/N!] (A_k shuffle B_{N-k}), each shuffle taken on the
-    factors' own blocks and written into the product's level block by block;
-    ``average_product`` folds it over a product's factors.
+    sum_k [k!(N-k)!/N!] (A_k shuffle B_{N-k}), one outer product of the
+    factors' monomial values per split k; ``average_product`` folds it
+    over a product's factors.
 
-Per-sample signatures are exact tensor exponentials of Haar logs, so Monte
-Carlo error is purely statistical.
+Level k is the symmetric tensor E[v^{(x)k}]/k!, so every method computes
+its C(n+k-1, k) monomial values, never its n^k words: writers and the dense
+view ``AverageSignatureResult.tensor`` expand them.  Per-sample signatures
+are exact tensor exponentials of Haar logs, so Monte Carlo error is purely
+statistical.
 """
 
 from __future__ import annotations
@@ -29,13 +28,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import pairwise
 
 import numpy as np
 
 # sphere_moment_level and su2_radial_moments live with SU2Group and are
 # re-exported here, where the benchmark's tracer looks them up
 from .groups import CircleGroup, map_chunks, mean_stderr, sphere_moment_level, stream, su2_radial_moments
-from .tensor import TruncatedTensorSeries, _check_budget, _interleavings, expand_words, monomial_levels
+from .tensor import SymmetricLevel, TruncatedTensorSeries, _check_budget, expand_words, monomial_levels
 
 __all__ = [
     "AverageSignatureResult",
@@ -52,27 +53,43 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AverageSignatureResult:
-    """Estimate of the average signature up to the tensor's depth.
-
-    stderr_per_level is the per-level Euclidean norm of the coordinate-wise
-    standard errors (Monte Carlo only); stderr_coeffs keeps the coordinate
-    SEs themselves for per-coefficient comparisons.
+    """Average signature up to depth ``len(values) - 1``: values[k] holds the
+    C(dim+k-1, k) monomial values of level k (``monomial_levels`` order) and
+    ``tensor`` its n^k words, built when first read.  Monte Carlo adds each
+    word's standard error (stderr_coeffs) and their norm per level.
     """
 
-    tensor: TruncatedTensorSeries
+    dim: int
+    values: tuple[np.ndarray, ...]
     method: str
     samples: int | None = None
     seed: int | None = None
     stderr_per_level: np.ndarray | None = None
     stderr_coeffs: tuple[np.ndarray, ...] | None = None
 
+    def __post_init__(self):
+        for k, v in enumerate(self.values):
+            if not np.all(np.isfinite(v)):
+                raise ValueError(f"level {k} contains non-finite coefficients")
+            v.flags.writeable = False
+
+    @property
+    def depth(self) -> int:
+        return len(self.values) - 1
+
+    @cached_property
+    def levels(self) -> list[SymmetricLevel]:
+        mono = monomial_levels(self.dim, self.depth)
+        return [SymmetricLevel(mono, k, v) for k, v in enumerate(self.values)]
+
+    @cached_property
+    def tensor(self) -> TruncatedTensorSeries:
+        return TruncatedTensorSeries(self.dim, self.depth, tuple(lv.words() for lv in self.levels))
+
     def to_json_dict(self) -> dict:
-        out = self.tensor.to_json_dict()
-        out["method"] = self.method
-        out["samples"] = self.samples
-        out["seed"] = self.seed
-        out["stderr"] = None if self.stderr_per_level is None else self.stderr_per_level.tolist()
-        return out
+        stderr = None if self.stderr_per_level is None else self.stderr_per_level.tolist()
+        return {"n": self.dim, "N": self.depth, "levels": self.levels, "method": self.method,
+                "samples": self.samples, "seed": self.seed, "stderr": stderr}
 
 
 def _is_torus(model) -> bool:
@@ -102,12 +119,12 @@ def average_closed_form(model, N: int) -> AverageSignatureResult:
     if not _is_torus(model):
         raise ValueError("closed form is available for the circle and circle products only")
     if model.dim > 1:
-        return AverageSignatureResult(average_product(model, N).tensor, "closed_form")
+        return AverageSignatureResult(model.dim, average_product(model, N).values, "closed_form")
     _check_budget(1, N)
     levels = [np.zeros(1) for _ in range(N + 1)]
     for k in range(0, N + 1, 2):
         levels[k][0] = _power_over_factorial(math.pi, k, k + 1)
-    return AverageSignatureResult(TruncatedTensorSeries(1, N, tuple(levels)), "closed_form")
+    return AverageSignatureResult(1, tuple(levels), "closed_form")
 
 
 def average_quadrature(model, N: int) -> AverageSignatureResult:
@@ -128,14 +145,10 @@ def average_quadrature(model, N: int) -> AverageSignatureResult:
         raise ValueError(f"radial moments up to depth {N} overflow float64")
     for k in range(1, N + 1):
         if k % 2 == 1:
-            levels.append(np.zeros(n**k))
+            levels.append(np.zeros(math.comb(n + k - 1, k)))
         else:
-            # scaled in place: the moment tensor is a fresh array, and a deep
-            # level (344 MB for su2 at depth 16) is then never held twice
-            level = model.direction_moment(k)
-            level *= _power_over_factorial(m[k // 2], 1, k)
-            levels.append(level)
-    return AverageSignatureResult(TruncatedTensorSeries(n, N, tuple(levels)), "quadrature")
+            levels.append(model.direction_moment(k) * _power_over_factorial(m[k // 2], 1, k))
+    return AverageSignatureResult(n, tuple(levels), "quadrature")
 
 
 def mc_chunk_size(dim: int, depth: int) -> int:
@@ -160,6 +173,9 @@ def average_monte_carlo(
     n = model.dim
     _check_budget(n, N)
     levels = monomial_levels(n, N)
+    # colex: the level-k rows ending in letter j, rows lo..hi, are the first
+    # hi - lo rows of level k-1 times v_j
+    spans = [list(pairwise(lvl.table[0].tolist() + [len(lvl.last)])) for lvl in levels]
 
     def chunk_sums(c, _start, size):
         v = np.ascontiguousarray(model.sample_log_batch(stream(seed, c), size).T)
@@ -167,7 +183,10 @@ def average_monte_carlo(
         sqs = [np.full(1, float(size))]
         cur = np.ones((1, size))
         for k, lvl in enumerate(levels[1:], 1):
-            cur = cur[lvl.parent] * v[lvl.last] / k
+            cur, prev = np.empty((len(lvl.last), size)), cur
+            for j, (lo, hi) in enumerate(spans[k]):
+                np.multiply(prev[:hi - lo], v[j], out=cur[lo:hi])
+            cur /= k
             sums.append(cur.sum(axis=1))
             sqs.append(np.einsum("mb,mb->m", cur, cur))
         return sums, sqs
@@ -179,19 +198,11 @@ def average_monte_carlo(
             tot[k] += sums[k]
             tsq[k] += sqs[k]
     # a word's per-sample value is its monomial's, so its mean and SE are too
-    mean, se = [], []
-    for k, (t, q) in enumerate(zip(tot, tsq)):
-        m, s = mean_stderr(t, q, samples)
-        mean.append(expand_words(levels, k, m))
-        se.append(expand_words(levels, k, s))
-    return AverageSignatureResult(
-        TruncatedTensorSeries(n, N, tuple(mean)),
-        "monte_carlo",
-        samples=samples,
-        seed=seed,
-        stderr_per_level=np.array([math.sqrt(float(s @ s)) for s in se]),
-        stderr_coeffs=tuple(se),
-    )
+    mean, se = zip(*(mean_stderr(t, q, samples) for t, q in zip(tot, tsq)))
+    se = [expand_words(levels, k, s) for k, s in enumerate(se)]
+    return AverageSignatureResult(n, mean, "monte_carlo", samples=samples, seed=seed,
+                                  stderr_per_level=np.array([math.sqrt(float(s @ s)) for s in se]),
+                                  stderr_coeffs=tuple(se))
 
 
 def average_product(model, N: int) -> AverageSignatureResult:
@@ -213,32 +224,26 @@ def product_average_shuffle(
     """Average signature of a product group from its factors' averages.
 
     Level N of the product is sum_k [k!(N-k)!/N!] (A_k shuffle B_{N-k}),
-    with the first factor's basis first.  Each interleaving of the k slots
-    of A_k with the N-k slots of B_{N-k} writes the outer product of the
-    factors' own blocks into the sub-block where the first factor's slots
-    range over 0..n1-1 and the others over n1..n1+n2-1.  Those sub-blocks
-    are disjoint, so every word of the product receives exactly one term.
+    with the first factor's basis first.  A product monomial is a monomial
+    alpha of A_k followed by one, beta, of B_{N-k} shifted by n1, with the
+    value [k!(N-k)!/N!] a_alpha b_beta.  In colex order alpha keeps its
+    index and beta's letters add an offset at[beta], so each split k is one
+    outer product written at ``alpha + at[beta]``.
     """
-    n1, n2 = a.tensor.dim, b.tensor.dim
-    if a.tensor.depth < N or b.tensor.depth < N:
+    n1, n = a.dim, a.dim + b.dim
+    if a.depth < N or b.depth < N:
         raise ValueError("factor averages must be truncated at depth >= N")
-    n = n1 + n2
     _check_budget(n, N)
-    first, second = slice(0, n1), slice(n1, n)
-    out = [np.zeros((n,) * lvl) for lvl in range(N + 1)]
-    for lvl in range(N + 1):
-        for k in range(lvl + 1):
-            x, y = a.tensor.levels[k], b.tensor.levels[lvl - k]
-            if not (np.any(x) and np.any(y)):
-                continue
-            weight = (
-                math.factorial(k) * math.factorial(lvl - k) / math.factorial(lvl)
-            )
-            # axes: k slots of the first factor, then lvl - k of the second
-            outer = np.multiply.outer(x.reshape((n1,) * k), y.reshape((n2,) * (lvl - k)))
-            for slots, axes in _interleavings(k, lvl - k):
-                block = tuple(first if t in slots else second for t in range(lvl))
-                out[lvl][block] += weight * outer.transpose(axes)
-    return AverageSignatureResult(
-        TruncatedTensorSeries(n, N, tuple(lv.ravel() for lv in out)), "product_shuffle"
-    )
+    levels, second = monomial_levels(n, N), b.levels[0].monomials
+    out = [np.zeros(len(lvl.parent)) for lvl in levels]
+    for k in range(N + 1):
+        alpha = np.arange(len(a.values[k]))[:, None]
+        at = np.zeros(1, dtype=np.intp)
+        for m in range(N + 1 - k):
+            if m:
+                # the letter j is past every letter so far: T[p, j] = T[0, j] + p
+                at = at[second[m].parent] + levels[k + m].table[0, second[m].last + n1]
+            weight = math.factorial(k) * math.factorial(m) / math.factorial(k + m)
+            # + 0.0 as a word of the dense sum started at 0.0: a -0.0 product reads 0.0
+            out[k + m][alpha + at] = weight * np.multiply.outer(a.values[k], b.values[m]) + 0.0
+    return AverageSignatureResult(n, tuple(out), "product_shuffle")

@@ -15,8 +15,8 @@ command reads, all but --output and --threads, so seeded runs are
 reproducible byte for byte regardless of --threads.  Quadrature uses 64
 Gauss-Legendre nodes and recover the qmc radial CDF.  JSON is the text of
 json.dumps(payload, sort_keys=True, indent=2), with tensor levels
-formatted from their arrays, each distinct value once; a regular --output
-file is replaced only when complete.
+formatted from the level's monomial values; a regular --output file is
+replaced only when complete.
 
 CSV column layouts:
   average:  kind,level,index,value   (kind: coeff | stderr_level)
@@ -50,6 +50,7 @@ from .average import (
 from .groups import parse_group
 from .recovery import AmbiguousDimension, FitFailure, recover
 from .spectra import spectrum_closed_form, spectrum_monte_carlo, spectrum_quadrature
+from .tensor import SymmetricLevel, expand_words, monomial_levels
 
 __all__ = ["main", "build_parser"]
 
@@ -80,52 +81,66 @@ def _provenance(args: argparse.Namespace) -> dict:
     return {k: v for k, v in vars(args).items() if k not in ("command", "output", "threads")}
 
 
-# values formatted and written at once, so the text held stays a few MB
-_SLICE = 1 << 18
+# words per block at most: the text of a block of words is joined once
+_BLOCK = 1 << 12
 
 
-def _value_texts(arr: np.ndarray) -> Iterator[tuple[int, list[str]]]:
-    """(start, texts) per slice: the JSON text of each value of a 1-D float64 array.
+def _level_blocks(level: SymmetricLevel) -> tuple[np.ndarray, Iterator[tuple[int, np.ndarray]]]:
+    """(texts, runs): a level's words in blocks, as the JSON text of their
+    monomial values, each encoded once by the stdlib (finite ones read as
+    their ``repr``).
 
-    Each distinct bit pattern is encoded once, by the stdlib; a tensor level
-    holds few of them.  Patterns are compared as integers, so -0.0 and 0.0
-    stay apart.  Finite values read as their ``repr``.
+    A block is the n^r <= ``_BLOCK`` words after one word u of level k - r.
+    Its monomials depend only on u's monomial, so ``texts`` has a row per
+    lower monomial; ``runs`` yields (first word, rows) for the lower words
+    in order, a few at a time.
     """
-    bits = arr.view(np.int64)
-    patterns = np.unique(bits)
-    texts = np.array([json.dumps(x) for x in patterns.view(np.float64).tolist()], dtype=object)
-    for lo in range(0, len(bits), _SLICE):
-        yield lo, texts[np.searchsorted(patterns, bits[lo:lo + _SLICE])].tolist()
+    mono, k = level.monomials, level.k
+    n = mono[0].table.shape[1]
+    r = max((r for r in range(k + 1) if 1 < n**r <= _BLOCK), default=0)
+    rows = np.arange(len(mono[k - r].last))[:, None]
+    for lvl in mono[k - r + 1 : k + 1]:
+        rows = lvl.table[rows].reshape(len(rows), -1)
+    texts = np.array([json.dumps(x) for x in level.values.tolist()], dtype=object)[rows]
+    lower = expand_words(mono, k - r, np.arange(len(rows)))
+    step = max(1, _BLOCK // rows.shape[1])
+    return texts, ((lo * rows.shape[1], lower[lo:lo + step]) for lo in range(0, len(lower), step))
 
 
 def _json_pieces(payload) -> Iterator[str]:
     """``json.dumps(payload, sort_keys=True, indent=2)`` and a newline, in pieces.
 
     The stdlib lays out the payload with a sentinel string in place of each
-    nonempty 1-D float64 array (a tensor level), and the array's values are
-    spliced in at the indent of the sentinel's line.
+    tensor level and each nonempty 1-D float64 array (level 1 over R^len,
+    each entry its own monomial), and the level's words are spliced in at
+    the indent of the sentinel's line, each block's text joined once.
     """
-    arrays = []
+    levels = []
 
     def sentinel(o):
-        if not (isinstance(o, np.ndarray) and o.dtype == np.float64 and o.ndim == 1):
+        if isinstance(o, np.ndarray) and o.dtype == np.float64 and o.ndim == 1:
+            if not len(o):
+                return []
+            o = SymmetricLevel(monomial_levels(len(o), 1), 1, o)
+        if not isinstance(o, SymmetricLevel):
             raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-        if not len(o):
-            return []
-        arrays.append(o)
-        return f"\0{len(arrays) - 1}\0"
+        levels.append(o)
+        return f"\0{len(levels) - 1}\0"
 
     text = json.dumps(payload, sort_keys=True, indent=2, default=sentinel)
     parts = re.split(r'"\\u0000(\d+)\\u0000"', text)  # text, index, text, ...
-    if len(parts) != 2 * len(arrays) + 1:
-        # a payload string reads as a sentinel; every array passed the check above
-        parts = [json.dumps(payload, sort_keys=True, indent=2, default=np.ndarray.tolist)]
+    if len(parts) != 2 * len(levels) + 1:
+        # a payload string reads as a sentinel; every level passed the check above
+        parts = [json.dumps(payload, sort_keys=True, indent=2, default=lambda o: (
+            o.words() if isinstance(o, SymmetricLevel) else o).tolist())]
     for head, i in zip(parts[0::2], parts[1::2]):
         indent = "\n" + re.match(" *", head[head.rfind("\n") + 1:]).group()
         sep = "," + indent + "  "
         yield head + "[" + indent + "  "
-        for lo, texts in _value_texts(arrays[int(i)]):
-            yield (sep if lo else "") + sep.join(texts)
+        texts, runs = _level_blocks(levels[int(i)])
+        blocks = [sep.join(row) for row in texts.tolist()]
+        for lo, run in runs:
+            yield (sep if lo else "") + sep.join([blocks[u] for u in run.tolist()])
         yield indent + "]"
     yield parts[-1] + "\n"
 
@@ -211,17 +226,19 @@ _SPECTRUM_METHODS = {
 
 def _cmd_average(args: argparse.Namespace) -> int:
     res = _AVERAGE_METHODS[args.method](parse_group(args.group), args)
+    result = res.to_json_dict()
 
     def rows():
         yield ["kind", "level", "index", "value"]
-        for k, lv in enumerate(res.tensor.levels):
-            for lo, texts in _value_texts(lv):  # repr, as the levels are finite
-                yield _coeff_lines(k, lo, texts)
+        for k, level in enumerate(result["levels"]):
+            texts, runs = _level_blocks(level)  # repr, as the levels are finite
+            for lo, run in runs:
+                yield _coeff_lines(k, lo, texts[run].ravel().tolist())
         if res.stderr_per_level is not None:
             for k, s in enumerate(res.stderr_per_level):
                 yield ["stderr_level", k, 0, float(s)]
 
-    _emit(args, {"result": res.to_json_dict()}, rows)
+    _emit(args, {"result": result}, rows)
     return 0
 
 

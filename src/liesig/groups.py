@@ -23,11 +23,12 @@ quaternions, and flat Riemannian products of those.  Each model exposes
     which is all the deterministic layers read:
     ``radial_moments(K, nodes)`` gives E[d^2k], k = 0..K, in float64 by
     Gauss-Legendre, ``exact_radial_moments(K, dps)`` the same numbers in
-    mpmath, and ``direction_moment(k)`` the flat level-k moment tensor of
-    v/|v|.  Products compose their factors' radial moments through one
-    binomial convolution.  They refuse ``direction_moment``: the direction
-    of (v_1, v_2) depends on both factors' radii, so it does not factor,
-    and their averages come from the product rule instead.
+    mpmath, and ``direction_moment(k)`` the level-k moment tensor of v/|v|
+    as its monomial values (``tensor.monomial_levels`` order).  Products
+    compose their factors' radial moments through one binomial convolution.
+    They refuse ``direction_moment``: the direction of (v_1, v_2) depends on
+    both factors' radii, so it does not factor, and their averages come
+    from the product rule instead.
 
 For SU(2) the basis {e1, e2, e3} is orthonormal with bracket relations
 [e1,e2] = 2 e3, [e1,e3] = -2 e2, [e2,e3] = 2 e1; with that normalisation
@@ -51,7 +52,7 @@ import mpmath as mp
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .tensor import expand_words, monomial_levels
+from .tensor import monomial_levels
 
 __all__ = [
     "CutLocusError",
@@ -342,34 +343,23 @@ def _double_factorial(m: int) -> float:
 
 
 def sphere_moment_level(k: int) -> np.ndarray:
-    """Flat moment tensor of the uniform unit measure on S^2 in R^3 at level k.
+    """Level-k moment tensor of the uniform measure on S^2 in R^3, as its
+    monomial values in ``monomial_levels(3, k)`` order.
 
     Entry (i_1..i_k) is E[v_{i_1} ... v_{i_k}]: zero unless every coordinate
-    appears an even number of times, in which case it equals
-    prod_j (a_j - 1)!! / (k+1)!! for the occurrence counts a_j.  The value
-    is taken once per monomial and expanded to the 3^k words.
+    appears an even number of times, else prod_j (a_j - 1)!! / (k+1)!! for
+    the occurrence counts a_j.
     """
     if k % 2 == 1:
-        return np.zeros(3**k)
-    norm = _double_factorial(k + 1)
-    table = np.zeros((k + 1, k + 1))
-    for a in range(0, k + 1, 2):
-        for b in range(0, k + 1 - a, 2):
-            c = k - a - b
-            if c % 2 == 0:
-                table[a, b] = (
-                    _double_factorial(a - 1)
-                    * _double_factorial(b - 1)
-                    * _double_factorial(c - 1)
-                    / norm
-                )
+        return np.zeros((k + 1) * (k + 2) // 2)
     # occurrence counts of letters 0 and 1 in each monomial, a level at a time
     a = b = np.zeros(1, dtype=np.intp)
-    levels = monomial_levels(3, k)
-    for lvl in levels[1:]:
+    for lvl in monomial_levels(3, k)[1:]:
         a = a[lvl.parent] + (lvl.last == 0)
         b = b[lvl.parent] + (lvl.last == 1)
-    return expand_words(levels, k, table[a, b])
+    df = _double_factorial  # with k even, even counts of 0 and 1 leave an even count of 2
+    return np.array([df(i - 1) * df(j - 1) * df(k - i - j - 1) / df(k + 1)
+                     if i % 2 == j % 2 == 0 else 0.0 for i, j in zip(a.tolist(), b.tolist())])
 
 
 class SU2Group:

@@ -31,6 +31,7 @@ __all__ = [
     "monomial_levels",
     "expand_words",
     "MonomialLevel",
+    "SymmetricLevel",
     "COEFF_BUDGET",
 ]
 
@@ -93,20 +94,17 @@ class TruncatedTensorSeries:
             frozen.append(arr)
         object.__setattr__(self, "levels", tuple(frozen))
 
-    def to_json_dict(self) -> dict:
-        return {"n": self.dim, "N": self.depth, "levels": list(self.levels)}
-
 
 @dataclass(frozen=True)
 class MonomialLevel:
     """The C(n+k-1, k) monomials of level k and how words map onto them.
 
-    Monomials are the sorted index tuples i_1 <= ... <= i_k in lexicographic
-    order.  Monomial m is ``parent[m]`` at level k-1 followed by the letter
-    ``last[m]``, so a value that multiplies over letters is built a level at
-    a time as ``value[parent] * x[last]``.  ``table[p, j]`` is the monomial
-    of the level-(k-1) monomial p with the letter j added, so the monomial
-    of every word follows a level at a time (``expand_words``).
+    Monomials are the sorted index tuples i_1 <= ... <= i_k in colex order
+    (by last letter, then by the rest), so those ending in j are the first
+    monomials of level k-1, ``parent[m]``, followed by ``last[m]`` = j.
+    ``table[p, j]`` is the monomial of the level-(k-1) monomial p with the
+    letter j added, so the monomial of every word follows a level at a time
+    (``expand_words``).
     """
 
     parent: np.ndarray
@@ -117,11 +115,9 @@ class MonomialLevel:
 def monomial_levels(n: int, N: int) -> list[MonomialLevel]:
     """Monomials and transition tables of levels 0..N over R^n.
 
-    The children p + (j,) of a level-(k-1) monomial p take the letters j from
-    last[p] up and are numbered consecutively from start[p].  Adding any
-    letter j to p gives T[p, j]: p's own child when j >= last[p]; otherwise
-    the child, by letter last[p], of r = T_{k-1}[q, j] with q the parent of
-    p.
+    Level k's monomials ending in j are numbered from off[j].  Adding a
+    letter j to p gives T[p, j] = off[j] + p when j >= last[p], else
+    off[last[p]] + T_{k-1}[q, j] with q the parent of p.
     """
     letters = np.arange(n)
     parent = last = np.zeros(1, dtype=np.intp)
@@ -129,15 +125,28 @@ def monomial_levels(n: int, N: int) -> list[MonomialLevel]:
     table = np.zeros((1, n), dtype=np.intp)
     out = [MonomialLevel(parent, last, table)]
     for _ in range(N):
-        counts = n - last
-        start = np.cumsum(counts) - counts
+        counts = np.cumsum(np.bincount(last, minlength=n))
+        off = np.cumsum(counts) - counts
         p = np.arange(len(last))[:, None]
         r = np.where(letters >= last[:, None], p, table[parent[:, None], letters])
-        table = start[r] + np.maximum(letters, last[:, None]) - last[r]
-        parent = np.repeat(p.ravel(), counts)
-        last = np.arange(counts.sum()) - start[parent] + last[parent]
+        table = off[np.maximum(letters, last[:, None])] + r
+        parent = np.arange(counts.sum()) - np.repeat(off, counts)
+        last = np.repeat(letters, counts)
         out.append(MonomialLevel(parent, last, table))
     return out
+
+
+@dataclass(frozen=True)
+class SymmetricLevel:
+    """Level k of a symmetric series: its monomial values in the order of
+    ``monomials``, which is ``monomial_levels(n, N)`` for some N >= k."""
+
+    monomials: list[MonomialLevel]
+    k: int
+    values: np.ndarray
+
+    def words(self) -> np.ndarray:
+        return expand_words(self.monomials, self.k, self.values)
 
 
 def expand_words(levels: list[MonomialLevel], k: int, values: np.ndarray) -> np.ndarray:
@@ -148,10 +157,11 @@ def expand_words(levels: list[MonomialLevel], k: int, values: np.ndarray) -> np.
     word of level k-1 (w_k = T_k[w_{k-1}], raveled).  The level is the
     gather ``values[T_k][w_{k-1}]``, raveled, so at most two levels below k
     have a word index alive at once and level k's n^k index is never formed.
+    A level of one monomial (k = 0 or n = 1) is one word.
     """
+    if len(values) == 1:
+        return np.array(values)
     index = np.zeros(1, dtype=np.intp)
-    if k == 0:
-        return values[index]
     for lvl in levels[1:k]:
         index = lvl.table[index].ravel()
     return values[levels[k].table][index].ravel()
@@ -199,9 +209,11 @@ def shuffle_levels(x: np.ndarray, p: int, y: np.ndarray, q: int, n: int) -> np.n
     row-major).
 
     Sums outer(x, y) over all order-preserving interleavings of the p slots of
-    x with the q slots of y.  Ranks are explicit: for n = 1 every level has
-    one coefficient and the rank cannot be read off the shape, yet the
-    interleaving count C(p+q, p) still matters.  Cost is C(p+q, p) * n^(p+q).
+    x with the q slots of y, x's slots at each p-subset of the result's
+    positions in ``itertools.combinations`` order.  Ranks are explicit: for
+    n = 1 every level has one coefficient and the rank cannot be read off
+    the shape, yet the interleaving count C(p+q, p) still matters.  Cost is
+    C(p+q, p) * n^(p+q).
     """
     if x.size != n**p or y.size != n**q:
         raise ValueError("level block size does not match the stated rank")
@@ -211,36 +223,12 @@ def shuffle_levels(x: np.ndarray, p: int, y: np.ndarray, q: int, n: int) -> np.n
         return x * y[0]
     if n == 1:
         return math.comb(p + q, p) * x * y
-    outer = np.multiply.outer(
-        x.reshape((n,) * p), y.reshape((n,) * q)
-    )  # axes: p x-slots then q y-slots
+    outer = np.multiply.outer(x.reshape((n,) * p), y.reshape((n,) * q))
     out = np.zeros((n,) * (p + q))
-    for _slots, axes in _interleavings(p, q):
-        out += outer.transpose(axes)
+    for slots in combinations(range(p + q), p):
+        rest = [t for t in range(p + q) if t not in slots]
+        out += np.moveaxis(outer, range(p + q), [*slots, *rest])
     return out.ravel()
-
-
-def _interleavings(p: int, q: int):
-    """Yield (slots, axes) for each order-preserving interleaving of p slots
-    with q slots, in ``itertools.combinations`` order.
-
-    ``slots`` is the set of result positions taken by the first p slots;
-    axes[t] names which axis of an outer product (p axes, then q) lands at
-    result position t.
-    """
-    total = p + q
-    for slots in combinations(range(total), p):
-        slot_set = set(slots)
-        axes = []
-        xi, yi = 0, p
-        for t in range(total):
-            if t in slot_set:
-                axes.append(xi)
-                xi += 1
-            else:
-                axes.append(yi)
-                yi += 1
-        yield slot_set, axes
 
 
 def hilbert_distance(a: TruncatedTensorSeries, b: TruncatedTensorSeries) -> float:

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import mpmath as mp
 import numpy as np
@@ -24,7 +25,7 @@ from liesig.groups import (
     stream,
     su2_radial_moments,
 )
-from liesig.tensor import TruncatedTensorSeries, shuffle_levels, trace_level
+from liesig.tensor import expand_words, monomial_levels, shuffle_levels, trace_level
 
 PI = math.pi
 
@@ -126,11 +127,16 @@ def test_su2_radial_moments_independent_of_max_k(nodes):
     assert np.array_equal(su2_radial_moments(5, nodes), su2_radial_moments(12, nodes)[:6])
 
 
+def _sphere_words(k):
+    # the n^k words of sphere_moment_level's monomial values
+    return expand_words(monomial_levels(3, k), k, sphere_moment_level(k))
+
+
 def test_sphere_moment_level_against_mc():
     # second and fourth moments of the uniform direction on S^2
-    m2 = sphere_moment_level(2).reshape(3, 3)
+    m2 = _sphere_words(2).reshape(3, 3)
     assert np.allclose(m2, np.eye(3) / 3.0)
-    m4 = sphere_moment_level(4).reshape(3, 3, 3, 3)
+    m4 = _sphere_words(4).reshape(3, 3, 3, 3)
     assert abs(m4[0, 0, 0, 0] - 1 / 5) < 1e-15  # E v1^4 = 1/5
     assert abs(m4[0, 0, 1, 1] - 1 / 15) < 1e-15  # E v1^2 v2^2 = 1/15
     assert m4[0, 0, 0, 1] == 0.0
@@ -171,7 +177,7 @@ def _sphere_moment_level_by_digits(k):
 def test_sphere_moment_level_matches_digit_loop():
     for k in range(11):
         ref = _sphere_moment_level_by_digits(k)
-        assert sphere_moment_level(k).tobytes() == ref.tobytes()
+        assert _sphere_words(k).tobytes() == ref.tobytes()
 
 
 # -- Monte Carlo -----------------------------------------------------------------
@@ -350,9 +356,86 @@ def _assert_bitwise(levels, reference):
 
 
 def _as_result(levels, n):
-    return AverageSignatureResult(
-        TruncatedTensorSeries(n, len(levels) - 1, tuple(levels)), "reference"
-    )
+    # a result from the dense levels of a symmetric series: the value of
+    # each monomial is that of its first word
+    mono = monomial_levels(n, len(levels) - 1)
+    values = []
+    for k, lv in enumerate(levels):
+        _, first = np.unique(expand_words(mono, k, np.arange(math.comb(n + k - 1, k))),
+                             return_index=True)
+        values.append(lv[first])
+    return AverageSignatureResult(n, tuple(values), "reference")
+
+
+def _interleavings(p, q):
+    """Reference only: (slots, axes) for each order-preserving interleaving
+    of p slots with q slots, in ``itertools.combinations`` order.
+
+    ``slots`` is the set of result positions taken by the first p slots;
+    axes[t] names which axis of an outer product (p axes, then q) lands at
+    result position t.
+    """
+    for slots in combinations(range(p + q), p):
+        rest = [t for t in range(p + q) if t not in slots]
+        yield set(slots), [slots.index(t) if t in slots else p + rest.index(t) for t in range(p + q)]
+
+
+def _interleaved_product_levels(a, b, N):
+    """Reference only: the dense product rule ``product_average_shuffle`` replaced.
+
+    Each interleaving of the k slots of A_k with the N-k slots of B_{N-k}
+    adds the outer product of the factors' dense levels into the sub-block
+    where the first factor's slots range over 0..n1-1 and the others over
+    n1..n1+n2-1.
+    """
+    n1, n2 = a.dim, b.dim
+    n = n1 + n2
+    first, second = slice(0, n1), slice(n1, n)
+    out = [np.zeros((n,) * lvl) for lvl in range(N + 1)]
+    for lvl in range(N + 1):
+        for k in range(lvl + 1):
+            x, y = a.tensor.levels[k], b.tensor.levels[lvl - k]
+            if not (np.any(x) and np.any(y)):
+                continue
+            weight = math.factorial(k) * math.factorial(lvl - k) / math.factorial(lvl)
+            outer = np.multiply.outer(x.reshape((n1,) * k), y.reshape((n2,) * (lvl - k)))
+            for slots, axes in _interleavings(k, lvl - k):
+                block = tuple(first if t in slots else second for t in range(lvl))
+                out[lvl][block] += weight * outer.transpose(axes)
+    return [lv.ravel() for lv in out]
+
+
+def _random_factor(rng, n, N):
+    # signed, zero and sparse monomial values, so signed zeros are exercised too
+    sizes = [math.comb(n + k - 1, k) for k in range(N + 1)]
+    values = [rng.normal(size=m) * (rng.random(m) < 0.7) for m in sizes]
+    if N >= 1 and rng.random() < 0.3:
+        values[1][:] = 0.0
+    if N >= 2 and rng.random() < 0.3:
+        values[2] *= -0.0
+    return AverageSignatureResult(n, tuple(values), "reference")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 5), st.integers(0, 2**32 - 1))
+def test_product_shuffle_matches_interleaved_oracle_random_levels(n1, n2, N, seed):
+    rng = np.random.default_rng(seed)
+    a, b = _random_factor(rng, n1, N), _random_factor(rng, n2, N)
+    _assert_bitwise(product_average_shuffle(a, b, N).tensor.levels,
+                    _interleaved_product_levels(a, b, N))
+
+
+def test_product_shuffle_matches_interleaved_oracle_groups():
+    q = average_quadrature(SU2Group(), 8)
+    c = average_closed_form(CircleGroup(), 8)
+    mc = average_monte_carlo(SU2Group(), 8, 3000, seed=5)
+    for a, b in ((q, c), (c, q), (mc, c), (c, mc)):
+        _assert_bitwise(product_average_shuffle(a, b, 8).tensor.levels,
+                        _interleaved_product_levels(a, b, 8))
+    # three factors: the oracle folds the oracle's own product
+    cq = _as_result(_interleaved_product_levels(c, q, 8), 4)
+    _assert_bitwise(product_average_shuffle(product_average_shuffle(c, q, 8), mc, 8).tensor.levels,
+                    _interleaved_product_levels(cq, mc, 8))
 
 
 def test_product_shuffle_matches_padded_oracle_su2_circle():
@@ -388,16 +471,8 @@ def test_product_shuffle_matches_padded_oracle_three_factors():
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 4), st.integers(0, 2**32 - 1))
 def test_product_shuffle_matches_padded_oracle_random_levels(n1, n2, N, seed):
-    # signed, zero and sparse coefficients, so signed zeros are exercised too
     rng = np.random.default_rng(seed)
-
-    def factor(n):
-        levels = [rng.normal(size=n**k) * (rng.random(n**k) < 0.7) for k in range(N + 1)]
-        if N >= 1 and rng.random() < 0.3:
-            levels[1][:] = 0.0
-        return _as_result(levels, n)
-
-    a, b = factor(n1), factor(n2)
+    a, b = _random_factor(rng, n1, N), _random_factor(rng, n2, N)
     _assert_bitwise(product_average_shuffle(a, b, N).tensor.levels,
                     _padded_product_levels(a, b, N))
 

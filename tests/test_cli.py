@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ import liesig.cli as cli
 from liesig.cli import main
 from liesig.groups import SU2Group
 from liesig.recovery import RecoveryReport
+from liesig.tensor import SymmetricLevel
 
 PI = math.pi
 
@@ -345,11 +347,14 @@ def _json_text(obj) -> str:
 
 
 def _tolisted(o):
-    """``o`` with every numpy array turned into a list, as the stdlib can encode it."""
+    """``o`` with every numpy array and every tensor level (as its words)
+    turned into a list, as the stdlib can encode it."""
     if isinstance(o, dict):
         return {k: _tolisted(v) for k, v in o.items()}
     if isinstance(o, (list, tuple)):
         return [_tolisted(v) for v in o]
+    if isinstance(o, SymmetricLevel):
+        return o.words().tolist()
     return o.tolist() if isinstance(o, np.ndarray) else o
 
 
@@ -415,13 +420,13 @@ _array_trees = st.recursive(
 
 
 @settings(max_examples=200, deadline=None)
-@given(_array_trees, st.sampled_from([1, 2, 3, 1 << 18]))
-def test_json_pieces_matches_stdlib(obj, slice_size):
-    # float64 arrays at any depth, NaN and inf included, cut into slices of
+@given(_array_trees, st.sampled_from([1, 2, 3, 1 << 12]))
+def test_json_pieces_matches_stdlib(obj, block_size):
+    # float64 arrays at any depth, NaN and inf included, cut into blocks of
     # any size; the stdlib on the same payload with the arrays as lists is
     # the oracle
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_SLICE", slice_size)
+        mp.setattr(cli, "_BLOCK", block_size)
         assert _written(obj) == _stdlib_text(obj)
 
 
@@ -507,10 +512,11 @@ def test_cli_json_and_csv_bytes_match_stdlib_route(argv, tmp_path, monkeypatch):
     ["average", "--group", "su2", "--method", "quadrature", "--depth", "9"],
 ], ids=["su2-quadrature", "su2xcircle-product_shuffle", "su2-quadrature-5-digit-index"])
 def test_average_csv_levels_match_per_row_writer(argv, tmp_path, monkeypatch):
-    # coefficient rows are formatted a slice of a level at a time, and the
-    # index in runs of 1000 (level 9 has 3^9 = 19683 coefficients); the
-    # per-row writer of _csv_from_payload is the oracle for their bytes
-    monkeypatch.setattr(cli, "_SLICE", 7)
+    # coefficient rows are formatted a run of blocks of a level at a time
+    # (blocks of 3 su2 words or 4 product words here), and the index in
+    # runs of 1000 (level 9 has 3^9 = 19683 coefficients); the per-row
+    # writer of _csv_from_payload is the oracle for their bytes
+    monkeypatch.setattr(cli, "_BLOCK", 7)
     _, pj = run(argv, tmp_path, "json")
     _, pc = run(argv + ["--format", "csv"], tmp_path, "csv")
     oracle = _csv_from_payload(argv, json.loads(pj.read_text())).encode()
@@ -524,6 +530,16 @@ def test_average_csv_levels_match_per_row_writer(argv, tmp_path, monkeypatch):
     ["average", "--group", "su2", "--method", "monte_carlo", "--depth", "4",
      "--samples", "20000", "--seed", "11"],
     ["average", "--group", "product:su2,circle", "--method", "product_shuffle", "--depth", "6"],
+    # a level of 3^9 words is written in blocks of 3^7, gathered by the words of level 2
+    pytest.param(["average", "--group", "su2", "--method", "quadrature", "--depth", "9"],
+                 id="su2-quadrature-9"),
+    pytest.param(["average", "--group", "torus:3", "--method", "closed_form", "--depth", "6"],
+                 id="torus:3-closed_form"),
+    pytest.param(["average", "--group", "product:su2,circle,circle", "--method",
+                  "product_shuffle", "--depth", "6"], id="product:su2,circle,circle-product_shuffle"),
+    pytest.param(["average", "--group", "product:circle,su2", "--method", "monte_carlo",
+                  "--depth", "5", "--samples", "20000", "--seed", "3"],
+                 id="product:circle,su2-monte_carlo"),
 ], ids=lambda a: a[4])
 def test_average_bytes_match_stdlib_route(argv, threads, tmp_path, monkeypatch):
     argv = argv + ["--threads", threads]
@@ -531,6 +547,20 @@ def test_average_bytes_match_stdlib_route(argv, threads, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_json_pieces", lambda o: [_stdlib_text(o)])
     _, slow = run(argv, tmp_path, "stdlib")
     assert fast.read_bytes() == slow.read_bytes()
+
+
+def test_average_writes_words_without_a_dense_level():
+    # level 14 of su2 has 3^14 words (38 MB as float64); the writer makes
+    # their text from 120 monomial values, so no level is ever held dense
+    argv = ["average", "--group", "su2", "--method", "quadrature", "--depth", "14",
+            "--output", os.devnull]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3**14 * 8 / 4
 
 
 def test_average_stdout_matches_output_file(tmp_path, capsys):
@@ -545,15 +575,22 @@ def test_average_stdout_matches_output_file(tmp_path, capsys):
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("existing", [None, "old contents\n"], ids=["absent", "existing"])
 def test_failed_write_leaves_output_untouched(fmt, existing, tmp_path, monkeypatch):
-    # the writer fails after the first slice of a level is out
-    def failing(arr):
-        yield 0, ["0.0"] * min(len(arr), 2)
-        raise RuntimeError("writer failed")
+    # the writer fails after the first run of blocks of a level is out
+    real = cli._level_blocks
+
+    def failing(level):
+        texts, runs = real(level)
+
+        def first_run_only():
+            yield next(runs)
+            raise RuntimeError("writer failed")
+
+        return texts, first_run_only()
 
     path = tmp_path / "out.dat"
     if existing is not None:
         path.write_text(existing)
-    monkeypatch.setattr(cli, "_value_texts", failing)
+    monkeypatch.setattr(cli, "_level_blocks", failing)
     with pytest.raises(RuntimeError, match="writer failed"):
         main(["average", "--group", "su2", "--method", "quadrature", "--depth", "4",
               "--format", fmt, "--output", str(path)])

@@ -24,6 +24,7 @@ from liesig.groups import (
     sphere_moment_level,
     stream,
 )
+from liesig.tensor import expand_words, monomial_levels
 
 PI = math.pi
 
@@ -171,7 +172,7 @@ def test_su2_direction_is_uniform():
     v = s.sample_log_batch(stream(11), n)
     u = v / np.linalg.norm(v, axis=1, keepdims=True)
     for k in range(1, 5):
-        exact = sphere_moment_level(k)
+        exact = expand_words(monomial_levels(3, k), k, sphere_moment_level(k))
         for word, m in zip(itertools.product(range(3), repeat=k), exact):
             x = np.prod(u[:, list(word)], axis=1)
             se = x.std() / math.sqrt(n)
@@ -444,7 +445,8 @@ def test_direction_moments(model):
     assert np.array_equal(model.direction_moment(0), np.ones(1))
     assert not np.any(model.direction_moment(3))
     # v/|v| is a unit vector: the level-2 tensor has trace 1 and is isotropic
-    assert np.allclose(model.direction_moment(2).reshape(n, n), np.eye(n) / n, atol=1e-15)
+    level2 = expand_words(monomial_levels(n, 2), 2, model.direction_moment(2))
+    assert np.allclose(level2.reshape(n, n), np.eye(n) / n, atol=1e-15)
 
 
 # -- parsing -------------------------------------------------------------------------

@@ -66,15 +66,20 @@ def shuffle_product(a, b):
 # -- construction and invariants ---------------------------------------------
 
 
+def _colex(n, k):
+    # sorted index tuples by last letter, then by the rest in the same order
+    return sorted(itertools.combinations_with_replacement(range(n), k), key=lambda m: m[::-1])
+
+
 @pytest.mark.parametrize("n,N", [(1, 5), (2, 6), (3, 5), (5, 3)])
 def test_monomial_levels_against_enumeration(n, N):
     levels = monomial_levels(n, N)
     for k, lvl in enumerate(levels):
-        monos = list(itertools.combinations_with_replacement(range(n), k))
+        monos = _colex(n, k)
         assert len(lvl.parent) == len(lvl.last) == len(monos) == math.comb(n + k - 1, k)
         rank = {m: i for i, m in enumerate(monos)}
         if k:
-            parents = list(itertools.combinations_with_replacement(range(n), k - 1))
+            parents = _colex(n, k - 1)
             assert [parents[p] + (j,) for p, j in zip(lvl.parent, lvl.last)] == monos
             assert lvl.table.tolist() == [
                 [rank[tuple(sorted(q + (j,)))] for j in range(n)] for q in parents
