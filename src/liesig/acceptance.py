@@ -27,7 +27,7 @@ from .spectra import (
     spectrum_quadrature,
     su2_radial_integrals_mp,
 )
-from .tensor import exp_tensor, hilbert_distance, concat_product
+from .tensor import exp_tensor, hilbert_distance, concat_product, monomial_levels
 
 __all__ = ["CriterionResult", "run_acceptance", "CRITERIA"]
 
@@ -48,8 +48,8 @@ def _c1_circle_closed_form():
     worst = 0.0
     for k in range(9):
         target = PI ** (2 * k) / math.factorial(2 * k + 1)
-        worst = max(worst, abs(avg.tensor.levels[2 * k][0] - target) / target)
-    odd_ok = all(avg.tensor.levels[2 * k + 1][0] == 0.0 for k in range(8))
+        worst = max(worst, abs(avg.values[2 * k][0] - target) / target)
+    odd_ok = all(avg.values[2 * k + 1][0] == 0.0 for k in range(8))
     return worst <= 1e-12 and odd_ok, f"worst rel err {worst:.2e}, odd levels zero: {odd_ok}"
 
 
@@ -82,8 +82,9 @@ def _c4_odd_level_vanishing():
     ok = True
     for model, depth in ((CircleGroup(), 7), (SU2Group(), 5)):
         avg = average_monte_carlo(model, depth, 10**6, seed=0)
+        mono = monomial_levels(model.dim, depth)
         for k in range(1, depth + 1, 2):
-            norm = math.sqrt(float(avg.tensor.levels[k] @ avg.tensor.levels[k]))
+            norm = math.sqrt(float(mono[k].multiplicity @ avg.values[k] ** 2))  # of the words
             bound = 4.0 * float(avg.stderr_per_level[k])
             ok &= norm <= bound
             msgs.append(f"{model.kind} L{k}: {norm:.2e} <= {bound:.2e}")
@@ -96,10 +97,8 @@ def _c5_product_theorem():
     exact_ok = abs(rtr2 - 2.0 * PI**2 / 3.0) <= 1e-12 * rtr2
     mc = average_monte_carlo(parse_group("torus:2"), 8, 10**6, seed=0)
     bad = 0
-    for k in range(9):
-        diff = np.abs(prod.tensor.levels[k] - mc.tensor.levels[k])
-        bound = 4.0 * mc.stderr_coeffs[k] + 1e-15
-        bad += int(np.sum(diff > bound))
+    for lvl, p, m, se in zip(monomial_levels(2, 8), prod.values, mc.values, mc.stderr_values):
+        bad += int(lvl.multiplicity @ (np.abs(p - m) > 4.0 * se + 1e-15))  # words, as the detail says
     return exact_ok and bad == 0, f"rtr(C2) = {rtr2:.12f} (2pi^2/3 = {2 * PI ** 2 / 3:.12f}), {bad} coefficients beyond 4 SE"
 
 

@@ -10,17 +10,17 @@ computed four ways:
     (Gauss-Legendre) and M_k its ``direction_moment(k)``, the moment
     tensor of v/|v| (for SU(2) the uniform measure on S^2),
   * Monte Carlo -- chunked, seeded, thread-count independent, with
-    per-coefficient standard errors,
+    per-monomial standard errors,
   * the product rule -- the level-N average of a Riemannian product is
     sum_k [k!(N-k)!/N!] (A_k shuffle B_{N-k}), one outer product of the
     factors' monomial values per split k; ``average_product`` folds it
     over a product's factors.
 
 Level k is the symmetric tensor E[v^{(x)k}]/k!, so every method computes
-its C(n+k-1, k) monomial values, never its n^k words: writers and the dense
-view ``AverageSignatureResult.tensor`` expand them.  Per-sample signatures
-are exact tensor exponentials of Haar logs, so Monte Carlo error is purely
-statistical.
+its C(n+k-1, k) monomial values, never its n^k words: only writers and the
+test oracle ``AverageSignatureResult.tensor`` expand them.  Per-sample
+signatures are exact tensor exponentials of Haar logs, so Monte Carlo error
+is purely statistical.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 # sphere_moment_level and su2_radial_moments live with SU2Group and are
 # re-exported here, where the benchmark's tracer looks them up
 from .groups import CircleGroup, map_chunks, mean_stderr, sphere_moment_level, stream, su2_radial_moments
-from .tensor import SymmetricLevel, TruncatedTensorSeries, _check_budget, expand_words, monomial_levels
+from .tensor import SymmetricLevel, TruncatedTensorSeries, _check_budget, monomial_levels
 
 __all__ = [
     "AverageSignatureResult",
@@ -56,7 +56,7 @@ class AverageSignatureResult:
     """Average signature up to depth ``len(values) - 1``: values[k] holds the
     C(dim+k-1, k) monomial values of level k (``monomial_levels`` order) and
     ``tensor`` its n^k words, built when first read.  Monte Carlo adds each
-    word's standard error (stderr_coeffs) and their norm per level.
+    monomial's standard error (stderr_values) and its words' norm per level.
     """
 
     dim: int
@@ -65,7 +65,7 @@ class AverageSignatureResult:
     samples: int | None = None
     seed: int | None = None
     stderr_per_level: np.ndarray | None = None
-    stderr_coeffs: tuple[np.ndarray, ...] | None = None
+    stderr_values: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self):
         for k, v in enumerate(self.values):
@@ -176,33 +176,29 @@ def average_monte_carlo(
     # colex: the level-k rows ending in letter j, rows lo..hi, are the first
     # hi - lo rows of level k-1 times v_j
     spans = [list(pairwise(lvl.table[0].tolist() + [len(lvl.last)])) for lvl in levels]
+    start = np.cumsum([0] + [len(lvl.last) for lvl in levels])
 
     def chunk_sums(c, _start, size):
         v = np.ascontiguousarray(model.sample_log_batch(stream(seed, c), size).T)
-        sums = [np.full(1, float(size))]
-        sqs = [np.full(1, float(size))]
+        out = np.empty((2, start[-1]))
+        out[:, 0] = size
         cur = np.ones((1, size))
         for k, lvl in enumerate(levels[1:], 1):
             cur, prev = np.empty((len(lvl.last), size)), cur
             for j, (lo, hi) in enumerate(spans[k]):
                 np.multiply(prev[:hi - lo], v[j], out=cur[lo:hi])
             cur /= k
-            sums.append(cur.sum(axis=1))
-            sqs.append(np.einsum("mb,mb->m", cur, cur))
-        return sums, sqs
+            cur.sum(axis=1, out=out[0, start[k]:start[k + 1]])
+            np.einsum("mb,mb->m", cur, cur, out=out[1, start[k]:start[k + 1]])
+        return out
 
-    tot = [np.zeros(len(lvl.parent)) for lvl in levels]
-    tsq = [np.zeros(len(lvl.parent)) for lvl in levels]
-    for sums, sqs in map_chunks(chunk_sums, samples, mc_chunk_size(n, N), threads):
-        for k in range(N + 1):
-            tot[k] += sums[k]
-            tsq[k] += sqs[k]
+    tot, tsq = sum(map_chunks(chunk_sums, samples, mc_chunk_size(n, N), threads))
+    mean, se = mean_stderr(tot, tsq, samples)
+    mean, se = np.split(mean, start[1:-1]), np.split(se, start[1:-1])
     # a word's per-sample value is its monomial's, so its mean and SE are too
-    mean, se = zip(*(mean_stderr(t, q, samples) for t, q in zip(tot, tsq)))
-    se = [expand_words(levels, k, s) for k, s in enumerate(se)]
-    return AverageSignatureResult(n, mean, "monte_carlo", samples=samples, seed=seed,
-                                  stderr_per_level=np.array([math.sqrt(float(s @ s)) for s in se]),
-                                  stderr_coeffs=tuple(se))
+    norm = [math.sqrt(float(lvl.multiplicity @ (s * s))) for lvl, s in zip(levels, se)]
+    return AverageSignatureResult(n, tuple(mean), "monte_carlo", samples=samples, seed=seed,
+                                  stderr_per_level=np.array(norm), stderr_values=tuple(se))
 
 
 def average_product(model, N: int) -> AverageSignatureResult:

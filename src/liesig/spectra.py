@@ -4,7 +4,7 @@ The rescaled trace at level 2k, rtr_{2k} = (2k)! tr(A_{2k}), equals the k-th
 moment of the squared distance d(e, g)^2 under the normalised Haar measure.
 That identity gives three independent routes to the same sequence:
 
-  * contraction of an averaged tensor series (``rtr_spectrum``),
+  * the trace of an average's monomial values (``rtr_spectrum``),
   * direct evaluation of the radial moments the group model provides
     (``radial_moments`` and ``exact_radial_moments``),
   * Monte Carlo moments of sampled distances.
@@ -36,7 +36,7 @@ from .groups import (
     stream,
     su2_radial_integrals_mp,
 )
-from .tensor import trace_level
+from .tensor import monomial_levels
 
 __all__ = [
     "TraceSpectrum",
@@ -102,14 +102,19 @@ def _require_finite(values: np.ndarray, name: str) -> None:
 
 
 def rtr_spectrum(avg: AverageSignatureResult, K: int) -> TraceSpectrum:
-    """Contract an averaged tensor: r_{2k} = (2k)! tr(level 2k)."""
-    if avg.tensor.depth < 2 * K:
-        raise ValueError(f"need depth >= {2 * K}, have {avg.tensor.depth}")
-    vals = np.array(
-        [math.factorial(2 * k) * trace_level(avg.tensor, 2 * k) for k in range(K + 1)]
-    )
+    """r_{2k} = (2k)! tr(level 2k) of an average, with tr A_{2k} summed as
+    sum_{|beta|=k} (k!/beta!) a_{2beta}: the doubled words w_1 w_1 ... w_k w_k
+    of level 2k have the monomial 2beta, beta that of w_1 ... w_k."""
+    if avg.depth < 2 * K:
+        raise ValueError(f"need depth >= {2 * K}, have {avg.depth}")
+    levels = monomial_levels(avg.dim, 2 * K)
+    twice = np.zeros(1, dtype=np.intp)  # the level-2k monomial 2beta of each beta
+    vals = [float(avg.values[0][0])]
+    for k, lvl in enumerate(levels[1:K + 1], 1):
+        twice = levels[2 * k].table[levels[2 * k - 1].table[twice[lvl.parent], lvl.last], lvl.last]
+        vals.append(math.factorial(2 * k) * float(lvl.multiplicity @ avg.values[2 * k][twice]))
     prov = {"method": avg.method, "samples": avg.samples, "seed": avg.seed}
-    return TraceSpectrum(vals, K, prov)
+    return TraceSpectrum(np.array(vals), K, prov)
 
 
 def spectrum_closed_form(model, K: int) -> TraceSpectrum:
@@ -177,7 +182,7 @@ def spectrum_monte_carlo(
         # not a (K + 1)-row table: numpy sums each row of a 2-D block the
         # same way for any row count above one, so the sums are bitwise
         # those of the whole table.  A lone last row K goes with row K - 1.
-        s, q = np.empty(K + 1), np.empty(K + 1)
+        s, q = out = np.empty((2, K + 1))
         pw = np.ones((min(K + 1, 2), size))
         lo = 0
         while True:
@@ -186,18 +191,14 @@ def spectrum_monte_carlo(
             hi = lo + len(pw)
             s[lo:hi], q[lo:hi] = pw.sum(axis=1), np.einsum("kb,kb->k", pw, pw)
             if hi > K:
-                return s, q
+                return out
             lo = min(hi, K - 1)
             if lo == hi:
                 np.multiply(pw[1], d2, out=pw[0])
             else:
                 pw[0] = pw[1]
 
-    tot = np.zeros(K + 1)
-    tsq = np.zeros(K + 1)
-    for s, q in map_chunks(chunk_sums, samples, IID_CHUNK, threads):
-        tot += s
-        tsq += q
+    tot, tsq = sum(map_chunks(chunk_sums, samples, IID_CHUNK, threads))
     # sums of d^4k overflow first at high k; TraceSpectrum refuses the
     # non-finite stderr that follows, so numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):

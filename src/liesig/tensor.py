@@ -3,10 +3,10 @@
 A series is stored densely: one contiguous float64 block per tensor level,
 with level k holding the n^k coefficients of the word basis
 e_{i_1} x ... x e_{i_k} in row-major multi-index order.  This is the home
-of signatures, their Haar averages, and what the pipeline does to them:
-the tensorial exponential, the Chen (concatenation) product, the shuffle
-of two levels, the pairwise-contraction trace, and the symmetric monomial
-expansion of a level.
+of path signatures and what the pipeline does to them: the tensorial
+exponential, the Chen (concatenation) product, the shuffle of two levels
+and the pairwise-contraction trace.  A symmetric level, such as a Haar
+average's, is held as its monomials and their word counts instead.
 
 All values are immutable after construction and all operations are pure,
 so series can be shared freely across workers.
@@ -104,12 +104,13 @@ class MonomialLevel:
     monomials of level k-1, ``parent[m]``, followed by ``last[m]`` = j.
     ``table[p, j]`` is the monomial of the level-(k-1) monomial p with the
     letter j added, so the monomial of every word follows a level at a time
-    (``expand_words``).
+    (``expand_words``); ``multiplicity[m]`` counts the words of monomial m.
     """
 
     parent: np.ndarray
     last: np.ndarray
     table: np.ndarray
+    multiplicity: np.ndarray
 
 
 def monomial_levels(n: int, N: int) -> list[MonomialLevel]:
@@ -117,22 +118,25 @@ def monomial_levels(n: int, N: int) -> list[MonomialLevel]:
 
     Level k's monomials ending in j are numbered from off[j].  Adding a
     letter j to p gives T[p, j] = off[j] + p when j >= last[p], else
-    off[last[p]] + T_{k-1}[q, j] with q the parent of p.
+    off[last[p]] + T_{k-1}[q, j] with q the parent of p.  Word counts
+    k!/beta! are the parent's times k / beta_j, j the last letter.
     """
     letters = np.arange(n)
-    parent = last = np.zeros(1, dtype=np.intp)
+    parent = last = run = np.zeros(1, dtype=np.intp)
     # every letter extends the empty monomial, so the level-0 table is unread
     table = np.zeros((1, n), dtype=np.intp)
-    out = [MonomialLevel(parent, last, table)]
-    for _ in range(N):
+    out = [MonomialLevel(parent, last, table, np.ones(1))]
+    for k in range(1, N + 1):
         counts = np.cumsum(np.bincount(last, minlength=n))
         off = np.cumsum(counts) - counts
         p = np.arange(len(last))[:, None]
         r = np.where(letters >= last[:, None], p, table[parent[:, None], letters])
         table = off[np.maximum(letters, last[:, None])] + r
         parent = np.arange(counts.sum()) - np.repeat(off, counts)
-        last = np.repeat(letters, counts)
-        out.append(MonomialLevel(parent, last, table))
+        prev, last = last, np.repeat(letters, counts)
+        # the empty monomial's run is 0, so its letter-0 child's is 1
+        run = np.where(prev[parent] == last, run[parent], 0) + 1
+        out.append(MonomialLevel(parent, last, table, out[-1].multiplicity[parent] * k / run))
     return out
 
 

@@ -1,5 +1,5 @@
 import math
-from itertools import combinations
+from itertools import combinations, pairwise
 
 import mpmath as mp
 import numpy as np
@@ -196,14 +196,14 @@ def test_mc_matches_quadrature_within_4se():
         q = average_quadrature(model, depth)
         mc = average_monte_carlo(model, depth, 2 * 10**5, seed=31)
         for k in range(depth + 1):
-            diff = np.abs(mc.tensor.levels[k] - q.tensor.levels[k])
-            assert np.all(diff <= 4.0 * mc.stderr_coeffs[k] + 1e-14)
+            diff = np.abs(mc.values[k] - q.values[k])
+            assert np.all(diff <= 4.0 * mc.stderr_values[k] + 1e-14)
 
 
 def test_mc_circle_level2_statistics():
     mc = average_monte_carlo(CircleGroup(), 2, 10**6, seed=42)
-    se = mc.stderr_coeffs[2][0]
-    assert abs(mc.tensor.levels[2][0] - PI**2 / 6) <= 4.0 * se
+    se = mc.stderr_values[2][0]
+    assert abs(mc.values[2][0] - PI**2 / 6) <= 4.0 * se
 
 
 def test_mc_thread_counts_agree_bitwise():
@@ -243,6 +243,46 @@ def _dense_monte_carlo(model, N, samples, seed):
     return [mean_stderr(t, q, samples) for t, q in zip(tot, tsq)]
 
 
+def _accumulated_monte_carlo(model, N, samples, seed):
+    """Reference only: average_monte_carlo as it added each chunk's sums of
+    every level into per-level totals in place, single-threaded."""
+    levels = monomial_levels(model.dim, N)
+    spans = [list(pairwise(lvl.table[0].tolist() + [len(lvl.last)])) for lvl in levels]
+
+    def chunk_sums(c, _start, size):
+        v = np.ascontiguousarray(model.sample_log_batch(stream(seed, c), size).T)
+        sums, sqs = [np.full(1, float(size))], [np.full(1, float(size))]
+        cur = np.ones((1, size))
+        for k, lvl in enumerate(levels[1:], 1):
+            cur, prev = np.empty((len(lvl.last), size)), cur
+            for j, (lo, hi) in enumerate(spans[k]):
+                np.multiply(prev[:hi - lo], v[j], out=cur[lo:hi])
+            cur /= k
+            sums.append(cur.sum(axis=1))
+            sqs.append(np.einsum("mb,mb->m", cur, cur))
+        return sums, sqs
+
+    tot = [np.zeros(len(lvl.last)) for lvl in levels]
+    tsq = [np.zeros(len(lvl.last)) for lvl in levels]
+    for sums, sqs in map_chunks(chunk_sums, samples, mc_chunk_size(model.dim, N), 1):
+        for k in range(N + 1):
+            tot[k] += sums[k]
+            tsq[k] += sqs[k]
+    return [mean_stderr(t, q, samples) for t, q in zip(tot, tsq)]
+
+
+@pytest.mark.parametrize("group,N,samples,seed", [
+    ("torus:2", 8, 50_000, 4), ("su2", 5, 100_001, 3), ("product:circle,su2", 6, 30_000, 7),
+    ("circle", 9, 70_000, 1),
+])
+def test_mc_stacked_sums_match_accumulated_loop(group, N, samples, seed):
+    model = parse_group(group)
+    got = average_monte_carlo(model, N, samples, seed, threads=2)
+    for k, (mean, se) in enumerate(_accumulated_monte_carlo(model, N, samples, seed)):
+        assert got.values[k].tobytes() == mean.tobytes()
+        assert got.stderr_values[k].tobytes() == se.tobytes()
+
+
 def _assert_symmetric(level, n, k):
     # words that are permutations of one another carry the same bits
     words = np.sort(np.indices((n,) * k).reshape(k, -1).T, axis=1)
@@ -264,11 +304,15 @@ def _assert_symmetric(level, n, k):
 def test_mc_matches_dense_oracle(group, N, samples, seed):
     model = parse_group(group)
     got = average_monte_carlo(model, N, samples, seed)
+    levels = monomial_levels(model.dim, N)
     for k, (mean, se) in enumerate(_dense_monte_carlo(model, N, samples, seed)):
-        for new, ref in ((got.tensor.levels[k], mean), (got.stderr_coeffs[k], se)):
+        words_se = expand_words(levels, k, got.stderr_values[k])
+        for new, ref in ((got.tensor.levels[k], mean), (words_se, se)):
             assert np.all(np.abs(new - ref) <= 1e-12 * np.abs(ref).max())
             if k:
                 _assert_symmetric(new, model.dim, k)
+        norm = math.sqrt(float(se @ se))
+        assert abs(got.stderr_per_level[k] - norm) <= 1e-12 * norm
 
 
 def test_mc_chunk_size_rule():
@@ -307,8 +351,8 @@ def test_product_shuffle_matches_direct_torus_mc():
     prod = product_average_shuffle(cf, cf, 6)
     mc = average_monte_carlo(parse_group("torus:2"), 6, 10**5, seed=13)
     for k in range(7):
-        diff = np.abs(prod.tensor.levels[k] - mc.tensor.levels[k])
-        assert np.all(diff <= 4.0 * mc.stderr_coeffs[k] + 1e-14)
+        diff = np.abs(prod.values[k] - mc.values[k])
+        assert np.all(diff <= 4.0 * mc.stderr_values[k] + 1e-14)
 
 
 def test_product_shuffle_mixed_group():
@@ -319,8 +363,8 @@ def test_product_shuffle_mixed_group():
     assert prod.tensor.dim == 4
     mc = average_monte_carlo(parse_group("product:circle,su2"), 4, 10**5, seed=21)
     for k in range(5):
-        diff = np.abs(prod.tensor.levels[k] - mc.tensor.levels[k])
-        assert np.all(diff <= 4.0 * mc.stderr_coeffs[k] + 1e-14)
+        diff = np.abs(prod.values[k] - mc.values[k])
+        assert np.all(diff <= 4.0 * mc.stderr_values[k] + 1e-14)
 
 
 def _embed_level(level, k, n_from, n_to, offset):

@@ -1,11 +1,19 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from liesig import spectra
-from liesig.average import average_monte_carlo, average_quadrature, mc_chunk_size
+from liesig.average import (
+    average_closed_form,
+    average_monte_carlo,
+    average_product,
+    average_quadrature,
+    mc_chunk_size,
+)
 from liesig.groups import (
     CircleGroup,
     ProductGroup,
@@ -22,6 +30,7 @@ from liesig.spectra import (
     spectrum_monte_carlo,
     spectrum_quadrature,
 )
+from liesig.tensor import trace_level
 
 PI = math.pi
 
@@ -46,6 +55,46 @@ def test_rtr_spectrum_from_tensor():
     assert np.allclose(spec.values, direct.values, rtol=1e-12)
     with pytest.raises(ValueError):
         rtr_spectrum(q, 4)  # needs depth 8
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(["circle", "su2"]), min_size=1, max_size=3), st.integers(0, 6))
+@example(["su2"], 6)
+@example(["su2", "circle"], 5)
+@example(["su2", "su2"], 4)
+@example(["su2", "su2", "su2"], 3)
+@example(["circle", "circle", "circle"], 6)
+def test_rtr_spectrum_matches_dense_trace(factors, K):
+    model = parse_group(factors[0] if len(factors) == 1 else "product:" + ",".join(factors))
+    # the dense oracle holds level 2K's words: at most 2e6 of them (16 MB)
+    while model.dim ** (2 * K) > 2 * 10**6:
+        K -= 1
+    torus = set(factors) == {"circle"}
+    avgs = [average_quadrature(model, 2 * K) if len(factors) == 1 else average_product(model, 2 * K)]
+    if torus:
+        avgs.append(average_closed_form(model, 2 * K))
+    exact = (spectrum_closed_form if torus else spectrum_quadrature)(model, K).values
+    for avg in avgs:
+        got = rtr_spectrum(avg, K).values
+        dense = np.array([math.factorial(2 * k) * trace_level(avg.tensor, 2 * k) for k in range(K + 1)])
+        # the monomial sum adds in another order than the contraction; over
+        # every case drawn here the gap is at most 3 ulp
+        assert np.all(np.abs(got - dense) <= 4 * np.spacing(dense))
+        assert np.all(np.abs(got - exact) <= 1e-12 * exact)
+
+
+def test_rtr_spectrum_reads_no_dense_level():
+    # level 16 of su2 has 3^16 words (344 MB as float64); the trace reads
+    # 153 monomial values of it
+    avg = average_quadrature(SU2Group(), 16)
+    tracemalloc.start()
+    try:
+        spec = rtr_spectrum(avg, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 10**6
+    assert np.allclose(spec.values, spectrum_quadrature(SU2Group(), 8).values, rtol=1e-12, atol=0.0)
 
 
 def test_r0_validation():

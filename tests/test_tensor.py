@@ -89,6 +89,16 @@ def test_monomial_levels_against_enumeration(n, N):
         assert expanded.tolist() == [rank[tuple(sorted(w))] for w in words]
 
 
+@pytest.mark.parametrize("n,N", [(1, 8), (2, 10), (3, 9), (4, 7), (7, 4)])
+def test_monomial_multiplicity_counts_words(n, N):
+    levels = monomial_levels(n, N)
+    for k, lvl in enumerate(levels):
+        words = expand_words(levels, k, np.arange(len(lvl.last)))
+        assert lvl.multiplicity.dtype == np.float64
+        assert lvl.multiplicity.tolist() == np.bincount(words, minlength=len(lvl.last)).tolist()
+        assert lvl.multiplicity.sum() == n**k
+
+
 def test_storage_shape_invariants():
     s = random_series(np.random.default_rng(0), 2, 4)
     assert len(s.levels) == 5
