@@ -181,26 +181,20 @@ def _c9_path_pipeline():
 
     m = 2048
     uniform = sample_curve(model, curve, m)
+    sig = path_signature_numeric(uniform, N)
     s = np.linspace(0.0, 1.0, m + 1)
     repar = SampledPath(model, s, tuple(curve(float(si**2)) for si in s))
-    d_rep = hilbert_distance(
-        path_signature_numeric(uniform, N), path_signature_numeric(repar, N)
-    )
+    d_rep = hilbert_distance(sig, path_signature_numeric(repar, N))
 
     h = model.exp(model.sample_log_batch(stream(6), 1)[0])
     shifted = SampledPath(model, uniform.times, tuple(model.multiply(h, np.array(uniform.points))))
-    d_left = hilbert_distance(
-        path_signature_numeric(uniform, N), path_signature_numeric(shifted, N)
-    )
+    d_left = hilbert_distance(sig, path_signature_numeric(shifted, N))
 
     mid = m // 2
     first = SampledPath(model, np.linspace(0, 1, mid + 1), uniform.points[: mid + 1])
     second = SampledPath(model, np.linspace(0, 1, m - mid + 1), uniform.points[mid:])
     d_chen = hilbert_distance(
-        concat_product(
-            path_signature_numeric(first, N), path_signature_numeric(second, N)
-        ),
-        path_signature_numeric(uniform, N),
+        concat_product(path_signature_numeric(first, N), path_signature_numeric(second, N)), sig
     )
     ok = d_geo <= 1e-6 and d_rep <= 1e-6 and d_left <= 1e-6 and d_chen <= 1e-10
     return ok, (

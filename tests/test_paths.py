@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import liesig.paths as paths
 from liesig.groups import CircleGroup, CutLocusError, SU2Group, parse_group
@@ -109,7 +111,11 @@ def test_one_cut_chord_raises_mesh_error(group, where):
         path_signature_numeric(path, 3)
 
 
-@pytest.mark.parametrize("chords", [1, 2, 3, 5, 64, 2047])
+RUN = paths._RUN_CHORDS
+
+
+# around the run length, and runs whose last one holds a single chord
+@pytest.mark.parametrize("chords", [1, 2, 3, 5, 64, 2047, RUN - 1, RUN, RUN + 1, 2 * RUN + 1, 64 * RUN + 1])
 @pytest.mark.parametrize("group", ["su2", "circle", "product:su2,circle"])
 def test_numeric_matches_left_fold_oracle(group, chords):
     model, curve = oracle_curve(group)
@@ -190,6 +196,32 @@ def test_chen_split_concatenation():
     second = SampledPath(model, np.linspace(0, 1, m // 2 + 1), whole.points[m // 2 :])
     lhs = concat_product(path_signature_numeric(first, 5), path_signature_numeric(second, 5))
     assert hilbert_distance(lhs, path_signature_numeric(whole, 5)) < 1e-10
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(["su2", "product:su2,circle"]), st.integers(2, 4 * RUN + 3), st.data())
+def test_chen_identity_at_any_split(group, chords, data):
+    # the second part's runs start at chord j of the whole, mid-run in general
+    j = data.draw(st.integers(1, chords - 1), label="split")
+    model, curve = oracle_curve(group)
+    whole = sample_curve(model, curve, chords)
+    first = SampledPath(model, np.linspace(0, 1, j + 1), whole.points[: j + 1])
+    second = SampledPath(model, np.linspace(0, 1, chords - j + 1), whole.points[j:])
+    lhs = concat_product(path_signature_numeric(first, 5), path_signature_numeric(second, 5))
+    assert max_abs_diff(lhs, path_signature_numeric(whole, 5)) <= 1e-13
+
+
+def test_chordal_signature_holds_no_block_of_every_chord():
+    # one (2048, 3^k) block per level would peak near 33 MB; one row per run takes far less
+    model, curve = su2_curve()
+    path = sample_curve(model, curve, 2048)
+    tracemalloc.start()
+    try:
+        path_signature_numeric(path, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 10**6
 
 
 def test_reparametrization_invariance():
