@@ -72,6 +72,7 @@ COMMANDS = [
     "recover --group su2 --samples 200000 --seed 7",
     "recover --group su2 --samples 2500000 --seed 7",
     "recover --group torus:2 --samples 200000 --seed 7",
+    "recover --group torus:3 --samples 200000 --seed 7",
     "spectrum --group circle --method closed_form --half-depth 20",
     "spectrum --group circle --method quadrature --half-depth 12",
     "spectrum --group circle --method quadrature --half-depth 300",

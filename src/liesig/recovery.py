@@ -39,6 +39,10 @@ a chunked scrambled-Sobol scheme ("qmc"), both chunked and threaded by
 fit needs that: at 10^7 iid samples the binomial Fisher bound on the fitted
 S is several times looser than the accuracy the qmc route delivers, so
 ``recover`` uses qmc.  Standard errors stay binomial (conservative for qmc).
+The Sobol points are liesig's own numpy generator, ``_sobol``, with Joe &
+Kuo's direction numbers for up to 16 uniforms per draw; it gives scipy's
+scrambled Sobol points bit for bit, and tests pin its stream, so nothing
+here loads scipy.
 """
 
 from __future__ import annotations
@@ -47,7 +51,6 @@ import functools
 import itertools
 import math
 import operator
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,9 +160,7 @@ def unit_ball_volume(n: int) -> float:
     """Volume of the Euclidean unit n-ball, pi^(n/2) / Gamma(n/2 + 1)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    from scipy.special import gammaln
-
-    return math.exp(0.5 * n * math.log(math.pi) - gammaln(0.5 * n + 1.0))
+    return math.exp(0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n + 1.0))
 
 
 # -- polynomial moment inversion -------------------------------------------
@@ -389,6 +390,69 @@ def ball_volume_from_moments(
     return out
 
 
+# -- scrambled Sobol points ----------------------------------------------------
+
+# Joe & Kuo's primitive polynomials and initial direction numbers, dimensions
+# 1..16 (rows 0..15 of scipy's table); dimension 1 is the identity
+_SOBOL_POLY = (1, 3, 7, 11, 13, 19, 25, 37, 41, 47, 55, 59, 61, 67, 91, 97)
+_SOBOL_VINIT = (
+    (1,), (1,), (1, 3), (1, 3, 1), (1, 1, 1), (1, 1, 3, 3), (1, 3, 5, 13),
+    (1, 1, 5, 5, 17), (1, 1, 5, 5, 5), (1, 1, 7, 11, 19), (1, 1, 5, 1, 1),
+    (1, 1, 1, 3, 11), (1, 3, 5, 5, 31), (1, 3, 3, 9, 7, 49), (1, 1, 1, 15, 21, 21),
+    (1, 3, 1, 13, 27, 49),
+)
+
+
+def _sobol_dim(model) -> int:
+    """The model's uniforms per draw, refused past the embedded Sobol dimensions."""
+    d = model.radial_uniform_dim
+    if d > len(_SOBOL_POLY):
+        raise ValueError(
+            f"scrambled Sobol points have at most {len(_SOBOL_POLY)} coordinates, "
+            f"and this group needs {d} uniforms per draw"
+        )
+    return d
+
+
+def _sobol(d: int, seed: int, n: int) -> np.ndarray:
+    """The first n points of a d-dimensional scrambled Sobol sequence, shape (n, d).
+
+    Bit for bit ``scipy.stats.qmc.Sobol(d, scramble=True, seed=seed).random(n)``
+    at 30 bits: a random digital shift, then a random lower-triangular matrix
+    scramble (LMS) of the direction numbers, both drawn from
+    ``default_rng(seed)`` in scipy's order.  Points come in Gray-code order,
+    built by reflected doubling: points [h, 2h) are points [0, h) reversed,
+    XOR direction number b, for h = 2^b.
+    """
+    bits = 30
+    rows = [[1] * bits]
+    for p, row in zip(_SOBOL_POLY[1:d], _SOBOL_VINIT[1:d]):
+        row, m = list(row), len(row)
+        for j in range(m, bits):
+            new = row[j - m]
+            for i in range(1, m + 1):
+                if p >> (m - i) & 1:
+                    new ^= row[j - i] << i
+            row.append(new)
+        rows.append(row)
+    place = 1 << np.arange(bits - 1, -1, -1)  # place values, most significant bit first
+    rng = np.random.default_rng(seed)
+    shift = rng.integers(2, size=(d, bits), dtype=np.uint32) @ place[::-1]
+    lms = np.tril(rng.integers(2, size=(d, bits, bits), dtype=np.uint32))
+    lms[:, np.arange(bits), np.arange(bits)] = 1
+    # direction j scaled to bit (bits - 1 - j); scrambled, its bits are lms @ its bits mod 2
+    v_bits = (np.array(rows, dtype=np.int64) * place)[:, :, None] & place != 0
+    v = ((np.einsum("dpr,djr->djp", lms, v_bits.astype(np.uint32)) & 1) @ place).astype(np.uint32)
+    x = np.empty((n, d), dtype=np.uint32)
+    x[0] = shift
+    b = 0
+    while (h := 1 << b) < n:
+        m = min(h, n - h)
+        np.bitwise_xor(x[h - 1 :: -1][:m], v[:, b], out=x[h : h + m])
+        b += 1
+    return x * 2.0**-bits
+
+
 # -- empirical ball volumes --------------------------------------------------
 
 
@@ -398,12 +462,13 @@ class RadialCdfEstimator:
     Each chunk counts its distances d <= R at every radius R in ``radii``,
     and ``map_chunks`` sums the integer counts, so no draw is kept.  iid
     chunk c is ``haar_distances`` on stream(seed, c), the distances of the
-    Monte Carlo spectrum's chunk c; qmc chunk c maps Sobol points scrambled
-    with a seed from SeedSequence((seed, c)) through
-    ``model.distance_from_uniforms``.  The counts do not depend on
-    ``threads``.  Calling it at a named radius R returns (count / samples,
-    binomial standard error); any other radius, and a non-finite one at
-    construction, raises ``ValueError``.
+    Monte Carlo spectrum's chunk c; qmc chunk c maps ``_sobol`` points
+    scrambled with a seed from SeedSequence((seed, c)) through
+    ``model.distance_from_uniforms``, and a group that needs more than 16
+    uniforms per draw is refused before any draw.  The counts do not
+    depend on ``threads``.  Calling it at a named radius R returns
+    (count / samples, binomial standard error); any other radius, and a
+    non-finite one at construction, raises ``ValueError``.
     """
 
     def __init__(self, model, samples: int, seed: int, radii, scheme: str = "qmc", threads: int = 1):
@@ -414,22 +479,18 @@ class RadialCdfEstimator:
             if not math.isfinite(R):
                 raise ValueError(f"radius {R} is not finite")
         if scheme == "qmc":
-            from scipy.stats import qmc
+            dim = _sobol_dim(model)
 
         def counts(c, _start, size):
             if scheme == "iid":
                 d = haar_distances(model, stream(seed, c), size)
             else:
                 sob_seed = int(np.random.SeedSequence((seed, c)).generate_state(1)[0])
-                u = qmc.Sobol(model.radial_uniform_dim, scramble=True, seed=sob_seed).random(size)
-                d = model.distance_from_uniforms(u)
+                d = model.distance_from_uniforms(_sobol(dim, sob_seed, size))
             return np.array([np.count_nonzero(d <= R) for R in radii], dtype=np.int64)
 
         chunk = IID_CHUNK if scheme == "iid" else QMC_CHUNK
-        # the filters are process-wide, so they also cover the pool's workers
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", message=".*balance properties of Sobol.*")
-            total = sum(map_chunks(counts, samples, chunk, threads))
+        total = sum(map_chunks(counts, samples, chunk, threads))
         self.samples = samples
         self._counts = dict(zip(radii, total.tolist()))
 
@@ -559,6 +620,7 @@ def recover(
     """
     if K < DIAMETER_MIN_K:  # diameter_estimate's refusal, before any draw
         raise ValueError(f"diameter estimation needs K >= {DIAMETER_MIN_K}")
+    _sobol_dim(model)  # the radial CDF's refusal, before any draw
     spec = spectrum_monte_carlo(model, K, samples, seed, threads=threads)
     diam = diameter_estimate(spec)
     table_radii = np.linspace(0.05 * diam.value, diam.value, TABLE_RADII).tolist()

@@ -1,8 +1,5 @@
-"""What a fresh interpreter loads: scipy only where recover's qmc scheme,
-``unit_ball_volume`` and ``verify`` need it."""
+"""What a fresh interpreter loads: scipy only where ``verify`` needs it."""
 
-import json
-import math
 import os
 import subprocess
 import sys
@@ -38,6 +35,7 @@ def test_import_loads_no_scipy():
     ["spectrum", "--group", "su2", "--method", "quadrature", "--half-depth", "8"],
     ["spectrum", "--group", "su2", "--method", "monte_carlo", "--half-depth", "4",
      "--samples", "1000"],
+    ["recover", "--group", "su2", "--samples", "20000", "--seed", "3"],
 ])
 def test_average_and_spectrum_load_no_scipy(argv, tmp_path):
     argv = argv + ["--output", str(tmp_path / "out.json")]
@@ -46,22 +44,19 @@ def test_average_and_spectrum_load_no_scipy(argv, tmp_path):
     assert out == "[]\n"
 
 
-# the same numbers with scipy loaded first and loaded by liesig on demand
-LAZY = """
-import json, sys
+# recover's scrambled Sobol points and unit ball volumes are liesig's own
+RECOVER = """
+import sys
+import liesig.cli
 from liesig import CircleGroup, recover, unit_ball_volume
-report = recover(CircleGroup(), samples=20000, seed=3, K=8)
-print(json.dumps({"unit_ball_volume": [unit_ball_volume(n).hex() for n in (1, 2, 3, 7)],
-                  "recover": report.to_json_dict(),
-                  "scipy": sorted(k for k in ("scipy.special", "scipy.stats") if k in sys.modules)},
-                 sort_keys=True))
+recover(CircleGroup(), samples=20000, seed=3, K=8)
+[unit_ball_volume(n) for n in (1, 2, 3, 7)]
+for group in ("circle", "su2", "product:su2,circle"):
+    argv = ["recover", "--group", group, "--samples", "20000", "--seed", "3", "--output", OUT]
+    assert liesig.cli.main(argv) == 0
 """
 
 
-def test_scipy_loaded_on_demand_gives_the_same_numbers():
-    lazy = json.loads(python(LAZY))
-    eager = json.loads(python("import scipy.special, scipy.stats\n" + LAZY))
-    assert lazy["scipy"] == ["scipy.special", "scipy.stats"]
-    assert lazy == eager
-    assert math.isclose(float.fromhex(lazy["unit_ball_volume"][2]), 4 / 3 * math.pi,
-                        rel_tol=1e-15)
+def test_recover_loads_no_scipy(tmp_path):
+    out = python(f"OUT = {str(tmp_path / 'out.json')!r}\n" + RECOVER + SCIPY_LOADED)
+    assert out == "[]\n"

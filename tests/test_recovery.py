@@ -2,6 +2,7 @@ import functools
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -92,6 +93,24 @@ def test_unit_ball_volume_values():
     assert abs(unit_ball_volume(3) - 4 * PI / 3) < 1e-14
     with pytest.raises(ValueError):
         unit_ball_volume(0)
+
+
+def test_unit_ball_volume_matches_closed_forms():
+    # pi^m / m! for n = 2m and 2^n pi^m m! / n! for n = 2m + 1, exact in mpmath.
+    # The logs summed inside exp have size about n, and their rounding
+    # carries through exp as a relative error: within 4n ulp (77 ulp at n = 60)
+    with mp.workdps(40):
+        for n in range(1, 61):
+            m = n // 2
+            if n % 2 == 0:
+                exact = mp.pi**m / mp.factorial(m)
+            else:
+                exact = 2**n * mp.pi**m * mp.factorial(m) / mp.factorial(n)
+            got = unit_ball_volume(n)
+            assert abs(mp.mpf(got) - exact) <= 4 * n * math.ulp(got), n
+    for n in (400, 10**6):
+        v = unit_ball_volume(n)
+        assert math.isfinite(v) and v >= 0.0
 
 
 # -- moment-based ball volume -------------------------------------------------------
@@ -581,6 +600,95 @@ def test_qmc_beats_iid_on_circle_cdf():
             worst_qmc = max(worst_qmc, abs(q(R)[0] - circle_F(R)))
             worst_iid = max(worst_iid, abs(i(R)[0] - circle_F(R)))
     assert worst_qmc < worst_iid / 5
+
+
+# -- scrambled Sobol points ------------------------------------------------------------
+
+SOBOL_SEEDS = (0, 3, 987654321, 2**32 - 1)
+SOBOL_SIZES = (1, 2, 3, 5, 4097, 2**16, 300001, 2**21)
+# points 1 and 3000 of _sobol(d, 20241106, 3001), last coordinate: they pin
+# the stream whatever the installed scipy draws
+SOBOL_GOLDEN = {
+    1: ("0x1.bdecd88800000p-1", "0x1.e8bce8e000000p-2"),
+    2: ("0x1.fe29090800000p-1", "0x1.0a08418000000p-5"),
+    3: ("0x1.542dc07000000p-1", "0x1.7ff5c59000000p-1"),
+    4: ("0x1.e7e2b3a000000p-3", "0x1.8b4b6e5000000p-1"),
+    5: ("0x1.ddc9d7d000000p-2", "0x1.91ea400000000p-11"),
+    6: ("0x1.4e9ac91800000p-1", "0x1.d0093a2800000p-1"),
+    7: ("0x1.c504f60000000p-4", "0x1.1c28494000000p-2"),
+    8: ("0x1.4e16107800000p-1", "0x1.78a7180000000p-9"),
+    9: ("0x1.8c63e40000000p-7", "0x1.7cd5a28000000p-4"),
+    10: ("0x1.70b592c000000p-3", "0x1.20c0b14800000p-1"),
+    11: ("0x1.d3dfe66000000p-2", "0x1.bc79320800000p-1"),
+    12: ("0x1.c0fac2f000000p-2", "0x1.2e3589f000000p-2"),
+    13: ("0x1.72c379c000000p-2", "0x1.e42d22f000000p-1"),
+    14: ("0x1.b90a5f4000000p-3", "0x1.d5e1680000000p-1"),
+    15: ("0x1.8dcaa87800000p-1", "0x1.ab07814000000p-2"),
+    16: ("0x1.40ec01c000000p-4", "0x1.22c3bba000000p-1"),
+}
+
+
+@pytest.mark.parametrize("d", range(1, 17))
+def test_sobol_equals_scipy_bitwise(d):
+    from scipy.stats import qmc
+
+    for seed in SOBOL_SEEDS:
+        for n in SOBOL_SIZES:
+            got = recovery._sobol(d, seed, n)
+            assert got.shape == (n, d) and got.dtype == np.float64
+            # scipy's engine continues its sequence from call to call, so
+            # reading it in blocks gives random(n) without a second (n, d) array
+            engine = qmc.Sobol(d, scramble=True, seed=seed)
+            for start in range(0, n, 1 << 16):
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", message=".*balance properties of Sobol.*")
+                    want = engine.random(min(1 << 16, n - start))
+                assert np.array_equal(got[start : start + len(want)].view(np.uint64), want.view(np.uint64)), (seed, n)
+
+
+def test_sobol_constants_are_scipys_table():
+    import scipy.stats
+
+    table = np.load(Path(scipy.stats.__file__).parent / "_sobol_direction_numbers.npz")
+    assert tuple(table["poly"][:16].tolist()) == recovery._SOBOL_POLY
+    for row, vinit in zip(table["vinit"][:16].tolist(), recovery._SOBOL_VINIT):
+        assert tuple(row[: len(vinit)]) == vinit and not any(row[len(vinit) :])
+    # 15 primitive polynomials of degree len(vinit); row 0 is the identity
+    assert [p.bit_length() - 1 for p in recovery._SOBOL_POLY[1:]] == [len(v) for v in recovery._SOBOL_VINIT[1:]]
+    assert sum(map(len, recovery._SOBOL_VINIT)) == 66
+
+
+@pytest.mark.parametrize("d", sorted(SOBOL_GOLDEN))
+def test_sobol_golden_points(d):
+    x = recovery._sobol(d, 20241106, 3001)
+    assert (x[1, -1].hex(), x[3000, -1].hex()) == SOBOL_GOLDEN[d]
+
+
+def test_sobol_refuses_17_uniforms_before_any_draw(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("drawn before the refusal")
+
+    small_chunks(monkeypatch)
+    wide = parse_group("torus:17")
+    radii = np.linspace(0.5, 9.0, 6).tolist()
+    message = r"^scrambled Sobol points have at most 16 coordinates, and this group needs 17 uniforms per draw$"
+    with monkeypatch.context() as m:
+        for name in ("_sobol", "haar_distances", "spectrum_monte_carlo"):
+            m.setattr(recovery, name, unreachable)
+        m.setattr(type(wide), "distance_from_uniforms", unreachable)
+        with pytest.raises(ValueError, match=message):
+            RadialCdfEstimator(wide, 10_001, 7, radii, scheme="qmc")
+        with pytest.raises(ValueError, match=message):
+            recover(wide, samples=10_001, seed=7)
+    # iid draws still serve it, and 16 uniforms still run through Sobol
+    d = sorted_draws(wide, 10_001, 7, "iid")
+    cdf = RadialCdfEstimator(wide, 10_001, 7, radii, scheme="iid")
+    assert [cdf(R)[0] for R in radii] == [sorted_F(d, R) for R in radii]
+    model = parse_group("torus:16")
+    d = sorted_draws(model, 10_001, 7, "qmc")
+    radii = d[::1000].tolist()
+    cdf = RadialCdfEstimator(model, 10_001, 7, radii, scheme="qmc")
+    assert [cdf(R)[0] for R in radii] == [sorted_F(d, R) for R in radii]
 
 
 # -- small-ball fit --------------------------------------------------------------------
